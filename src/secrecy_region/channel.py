@@ -87,28 +87,25 @@ class ChannelSpectrum:
     degenerate2: bool = False
 
 
-def pencil_matrices(ch: ChannelPair) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrices (I + P h h^H, I + P g g^H)."""
-    t = ch.dim
-    a = linalg.identity_plus_rank_one(t, ch.power, ch.h)
-    b = linalg.identity_plus_rank_one(t, ch.power, ch.g)
-    return a, b
-
-
 def spectrum(ch: ChannelPair) -> ChannelSpectrum:
-    """Solve both pencils and return their top eigenpairs."""
-    a, b = pencil_matrices(ch)
-    r1 = linalg.largest_gen_eig(a, b)
-    r2 = linalg.largest_gen_eig(b, a)
+    """Solve both pencils and return their top eigenpairs.
+
+    At P = 0 both pencils are (I, I); e1 and e2 are then the limits as
+    P -> 0+, the top eigenvectors of h h^H - g g^H and g g^H - h h^H.
+    """
+    p = ch.power
+    r1 = linalg.top_rank_one_eig(ch.h, ch.g, p, p)
+    r2 = linalg.top_rank_one_eig(ch.g, ch.h, p, p)
+    lam1, lam2 = float(r1.lam), float(r2.lam)
     return ChannelSpectrum(
-        lambda1=r1.eigenvalue,
-        e1=r1.eigenvector,
-        lambda2=r2.eigenvalue,
-        e2=r2.eigenvector,
-        residual1=r1.residual,
-        residual2=r2.residual,
-        degenerate1=r1.degenerate,
-        degenerate2=r2.degenerate,
+        lambda1=lam1,
+        e1=r1.vec,
+        lambda2=lam2,
+        e2=r2.vec,
+        residual1=linalg.rank_one_residual(ch.h, ch.g, p, p, lam1, r1.vec),
+        residual2=linalg.rank_one_residual(ch.g, ch.h, p, p, lam2, r2.vec),
+        degenerate1=bool(r1.gap < linalg.DEGENERACY_GAP),
+        degenerate2=bool(r2.gap < linalg.DEGENERACY_GAP),
     )
 
 

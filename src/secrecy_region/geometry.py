@@ -124,26 +124,18 @@ def staircase_polyline(corners: list[tuple]) -> list[tuple[float, float]]:
     return poly
 
 
-def _seg_dist(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
-    vx, vy = bx - ax, by - ay
+def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to its own segment [a, b].
+
+    All three are (n, 2) arrays; row i pairs points[i] with segment i.
+    """
+    px, py = points[:, 0], points[:, 1]
+    ax, ay = a[:, 0], a[:, 1]
+    vx, vy = b[:, 0] - ax, b[:, 1] - ay
     ll = vx * vx + vy * vy
-    if ll == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * vx + (py - ay) * vy) / ll
-    t = min(max(t, 0.0), 1.0)
-    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
-
-
-def point_polyline_distance(p: tuple[float, float], poly: list[tuple]) -> float:
-    """Euclidean distance from a point to a polyline."""
-    if not poly:
-        return math.inf
-    if len(poly) == 1:
-        return math.hypot(p[0] - poly[0][0], p[1] - poly[0][1])
-    return min(
-        _seg_dist(p[0], p[1], poly[i][0], poly[i][1], poly[i + 1][0], poly[i + 1][1])
-        for i in range(len(poly) - 1)
-    )
+    t = ((px - ax) * vx + (py - ay) * vy) / np.where(ll > 0.0, ll, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    return np.hypot(px - (ax + t * vx), py - (ay + t * vy))
 
 
 def min_distances(points, poly) -> np.ndarray:

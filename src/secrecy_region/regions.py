@@ -19,7 +19,6 @@ import numpy as np
 from . import geometry, linalg
 from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
 from .errors import ParamOutOfRange
-from .parallel import thread_map
 
 PARAM_ALPHA = "alpha"
 PARAM_BETA = "beta"
@@ -99,15 +98,30 @@ class SweepConfig:
             raise ValueError("grid needs at least 2 points")
 
 
-def _check_param(value: float, name: str) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise ParamOutOfRange(f"{name} must lie in [0, 1], got {value}")
-    return v
+def _check_param(value, name: str):
+    """A parameter (scalar or array) checked against [0, 1]; scalars come
+    back as float, arrays as float arrays."""
+    v = np.asarray(value, dtype=float)
+    inside = (v >= 0.0) & (v <= 1.0)
+    if not np.all(inside):
+        bad = v if v.ndim == 0 else v[~inside][0]
+        raise ParamOutOfRange(f"{name} must lie in [0, 1], got {bad}")
+    return float(v) if v.ndim == 0 else v
 
 
-def gamma1(ch: ChannelPair, spec: ChannelSpectrum, alpha: float) -> float:
-    """User 1's rate ratio (1 + aP|h^H e1|^2) / (1 + aP|g^H e1|^2)."""
+def _split_weights(ch: ChannelPair, first: float, second: float, frac):
+    """Residual-pencil weights (1-f)P / (1 + fP|v^H e|^2) for both users,
+    given |first^H e|^2, |second^H e|^2 of the first-stage eigenvector e."""
+    p = ch.power
+    rest = (1.0 - frac) * p
+    return rest / (1.0 + frac * p * first), rest / (1.0 + frac * p * second)
+
+
+def gamma1(ch: ChannelPair, spec: ChannelSpectrum, alpha):
+    """User 1's rate ratio (1 + aP|h^H e1|^2) / (1 + aP|g^H e1|^2).
+
+    alpha may be a scalar or an array of splits.
+    """
     a = _check_param(alpha, "alpha")
     p = ch.power
     num = 1.0 + a * p * abs(np.vdot(ch.h, spec.e1)) ** 2
@@ -115,27 +129,23 @@ def gamma1(ch: ChannelPair, spec: ChannelSpectrum, alpha: float) -> float:
     return num / den
 
 
-def gamma2(
-    ch: ChannelPair, spec: ChannelSpectrum, alpha: float
-) -> tuple[float, np.ndarray]:
+def gamma2(ch: ChannelPair, spec: ChannelSpectrum, alpha):
     """User 2's bound: top eigenpair of the alpha-scaled residual pencil.
 
     The pencil is (I + s_g g g^H, I + s_h h h^H) with
     s_g = (1-a)P / (1 + aP|g^H e1|^2) and s_h = (1-a)P / (1 + aP|h^H e1|^2).
     Returns (gamma2, c2); c2 feeds the rank-one covariance construction.
+    For an array of splits both come back batched: shapes (n,) and (n, t).
     """
     a = _check_param(alpha, "alpha")
-    p = ch.power
-    s_g = (1.0 - a) * p / (1.0 + a * p * abs(np.vdot(ch.g, spec.e1)) ** 2)
-    s_h = (1.0 - a) * p / (1.0 + a * p * abs(np.vdot(ch.h, spec.e1)) ** 2)
-    t = ch.dim
-    pa = linalg.identity_plus_rank_one(t, s_g, ch.g)
-    pb = linalg.identity_plus_rank_one(t, s_h, ch.h)
-    res = linalg.largest_gen_eig(pa, pb)
-    return res.eigenvalue, res.eigenvector
+    s_g, s_h = _split_weights(
+        ch, abs(np.vdot(ch.g, spec.e1)) ** 2, abs(np.vdot(ch.h, spec.e1)) ** 2, a
+    )
+    res = linalg.top_rank_one_eig(ch.g, ch.h, s_g, s_h)
+    return (float(res.lam), res.vec) if np.ndim(a) == 0 else (res.lam, res.vec)
 
 
-def xi2(ch: ChannelPair, spec: ChannelSpectrum, beta: float) -> float:
+def xi2(ch: ChannelPair, spec: ChannelSpectrum, beta):
     """User 2's closed-form ratio in the role-exchanged parametrization."""
     b = _check_param(beta, "beta")
     p = ch.power
@@ -144,19 +154,17 @@ def xi2(ch: ChannelPair, spec: ChannelSpectrum, beta: float) -> float:
     return num / den
 
 
-def xi1(
-    ch: ChannelPair, spec: ChannelSpectrum, beta: float
-) -> tuple[float, np.ndarray]:
-    """User 1's pencil eigenvalue in the role-exchanged parametrization."""
+def xi1(ch: ChannelPair, spec: ChannelSpectrum, beta):
+    """User 1's pencil eigenvalue in the role-exchanged parametrization.
+
+    Scalar or batched like `gamma2`.
+    """
     b = _check_param(beta, "beta")
-    p = ch.power
-    s_h = (1.0 - b) * p / (1.0 + b * p * abs(np.vdot(ch.h, spec.e2)) ** 2)
-    s_g = (1.0 - b) * p / (1.0 + b * p * abs(np.vdot(ch.g, spec.e2)) ** 2)
-    t = ch.dim
-    pa = linalg.identity_plus_rank_one(t, s_h, ch.h)
-    pb = linalg.identity_plus_rank_one(t, s_g, ch.g)
-    res = linalg.largest_gen_eig(pa, pb)
-    return res.eigenvalue, res.eigenvector
+    s_h, s_g = _split_weights(
+        ch, abs(np.vdot(ch.h, spec.e2)) ** 2, abs(np.vdot(ch.g, spec.e2)) ** 2, b
+    )
+    res = linalg.top_rank_one_eig(ch.h, ch.g, s_h, s_g)
+    return (float(res.lam), res.vec) if np.ndim(b) == 0 else (res.lam, res.vec)
 
 
 def _log_rate(ratio: float, scale: float) -> float:
@@ -182,67 +190,80 @@ def miso_wiretap_capacity(ch: ChannelPair) -> float:
     return max_rates(ch).r1
 
 
-def _corner_fn(
-    ch: ChannelPair, spec: ChannelSpectrum, param_kind: str
-) -> Callable[[float], RatePair]:
+#: rate corners for an array of parameters -> (r1 array, r2 array)
+CornerFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _corner_fn(ch: ChannelPair, spec: ChannelSpectrum, param_kind: str) -> CornerFn:
     scale = rate_scale(ch)
     cap1, cap2 = _intercepts(ch, spec)
 
-    def corner(value: float) -> RatePair:
-        if param_kind == PARAM_ALPHA:
-            ratio1 = gamma1(ch, spec, value)
-            ratio2, _ = gamma2(ch, spec, value)
-        else:
-            ratio1, _ = xi1(ch, spec, value)
-            ratio2 = xi2(ch, spec, value)
+    def rates(ratio: np.ndarray, cap: float) -> np.ndarray:
         # corner identities bound the sweep by the intercepts; clamping
         # removes last-ulp overshoot so the hull endpoints stay exact
-        return RatePair(
-            min(_log_rate(ratio1, scale), cap1),
-            min(_log_rate(ratio2, scale), cap2),
-        )
+        positive = ratio > 0.0
+        logs = scale * np.log2(np.where(positive, ratio, 1.0))
+        return np.minimum(np.where(positive, np.maximum(logs, 0.0), 0.0), cap)
 
-    return corner
+    def corners(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if param_kind == PARAM_ALPHA:
+            ratio1 = gamma1(ch, spec, values)
+            ratio2, _ = gamma2(ch, spec, values)
+        else:
+            ratio1, _ = xi1(ch, spec, values)
+            ratio2 = xi2(ch, spec, values)
+        return rates(ratio1, cap1), rates(ratio2, cap2)
+
+    return corners
 
 
-def _subdivide(
-    corner: Callable[[float], RatePair],
-    cache: dict[float, RatePair],
-    cfg: SweepConfig,
-) -> None:
-    """Insert parameters until every chord is flat and short enough."""
-    stack = []
+def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -> None:
+    """Insert parameters until every chord is flat and short enough.
+
+    Runs level by level: all midpoints of one level go through one batched
+    corner evaluation. An interval is split when its own sagitta (or chord
+    length) test fails, so the parameters visited do not depend on the
+    order; only the `max_points` cap, applied in parameter order within a
+    level, does.
+    """
     params = sorted(cache)
-    for lo, hi in zip(params, params[1:]):
-        stack.append((lo, hi, 0))
-    while stack:
-        lo, hi, depth = stack.pop()
-        if len(cache) >= cfg.max_points or depth > 40 or hi - lo < 1e-12:
-            continue
+    intervals = list(zip(params, params[1:]))
+    for _depth in range(41):
+        intervals = [(lo, hi) for lo, hi in intervals if hi - lo >= 1e-12]
+        intervals = intervals[: max(cfg.max_points - len(cache), 0)]
+        if not intervals:
+            return
+        lo = np.array([iv[0] for iv in intervals])
+        hi = np.array([iv[1] for iv in intervals])
         mid = 0.5 * (lo + hi)
-        a, b, m = cache[lo], cache[hi], corner(mid)
-        cache[mid] = m
-        chord = math.hypot(b.r1 - a.r1, b.r2 - a.r2)
-        sag = geometry.point_polyline_distance((m.r1, m.r2), [a, b])
-        too_long = cfg.segment_tol is not None and chord > cfg.segment_tol
-        if sag > cfg.sagitta_tol or too_long:
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
+        m1, m2 = corners(mid)
+        a = np.array([cache[v] for v in lo])
+        b = np.array([cache[v] for v in hi])
+        mids = mid.tolist()
+        cache.update(zip(mids, zip(m1.tolist(), m2.tolist())))
+        sag = geometry.segment_distances(np.stack([m1, m2], axis=1), a, b)
+        split = sag > cfg.sagitta_tol
+        if cfg.segment_tol is not None:
+            split |= np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) > cfg.segment_tol
+        nxt = []
+        for i in np.flatnonzero(split).tolist():
+            nxt.append((intervals[i][0], mids[i]))
+            nxt.append((mids[i], intervals[i][1]))
+        intervals = nxt
 
 
 def _golden_refine(
-    corner: Callable[[float], RatePair],
-    cache: dict[float, RatePair],
-    cfg: SweepConfig,
+    corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig
 ) -> None:
     """Golden-section search of argmax r1 + w*r2 for each weight."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def score(value: float, w: float) -> float:
         if value not in cache:
-            cache[value] = corner(value)
+            r1, r2 = corners(np.array([value]))
+            cache[value] = (float(r1[0]), float(r2[0]))
         p = cache[value]
-        return p.r1 + w * p.r2
+        return p[0] + w * p[1]
 
     for w in cfg.refine_weights:
         lo, hi = 0.0, 1.0
@@ -305,15 +326,16 @@ def _build_boundary(
 
 def _sweep(ch: ChannelPair, cfg: SweepConfig, param_kind: str) -> RegionBoundary:
     spec = spectrum(ch)
-    corner = _corner_fn(ch, spec, param_kind)
-    base = [float(v) for v in np.linspace(0.0, 1.0, cfg.grid_points)]
-    cache: dict[float, RatePair] = dict(zip(base, thread_map(corner, base)))
+    corners = _corner_fn(ch, spec, param_kind)
+    base = np.linspace(0.0, 1.0, cfg.grid_points)
+    r1, r2 = corners(base)
+    cache = dict(zip(base.tolist(), zip(r1.tolist(), r2.tolist())))
     if cfg.adaptive:
-        _subdivide(corner, cache, cfg)
+        _subdivide(corners, cache, cfg)
     if cfg.refine:
-        _golden_refine(corner, cache, cfg)
+        _golden_refine(corners, cache, cfg)
     rects = [
-        RateRectangle(cache[v], v, param_kind) for v in sorted(cache)
+        RateRectangle(RatePair(*cache[v]), v, param_kind) for v in sorted(cache)
     ]
     cap1, cap2 = _intercepts(ch, spec)
     return _build_boundary(rects, cap1, cap2, param_kind)

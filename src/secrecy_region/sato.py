@@ -149,9 +149,9 @@ def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
         raise CovarianceInvalid(
             f"K_X dimension {k.shape[0]} != channel dimension {ch.dim}"
         )
-    vals, _ = linalg.hermitian_eigh(k)
-    if vals[-1] < -PSD_TOL:
-        raise CovarianceInvalid(f"K_X has eigenvalue {vals[-1]:.3e} < 0")
+    low = float(np.linalg.eigvalsh(k)[0])
+    if low < -PSD_TOL:
+        raise CovarianceInvalid(f"K_X has eigenvalue {low:.3e} < 0")
     if float(np.trace(k).real) > ch.power + TRACE_TOL:
         raise CovarianceInvalid(
             f"tr(K_X) = {float(np.trace(k).real):.12g} exceeds {ch.power}"
@@ -159,22 +159,25 @@ def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
     return k
 
 
+def _bound_values(forms: tuple, rho: complex):
+    """Closed-form minimum over the combining coefficient, raw log2 units.
+
+    forms = (own, other, cross), scalars or arrays, where for f1
+    own = h^H K h, other = g^H K g and cross = g^H K h.
+    """
+    own, other, cross = forms
+    j = own + 1.0 - np.abs(cross + rho) ** 2 / (other + 1.0)
+    # j >= 1 - |rho|^2 analytically; clamp the last-ulp violations that
+    # cancellation near |rho| -> 1 can produce (bounds are never negative)
+    return np.maximum(np.log2(j / (1.0 - abs(rho) ** 2)), 0.0)
+
+
 def _f_raw(
     forms: tuple[float, float, complex], rho: complex
 ) -> tuple[float, complex]:
-    """Closed-form minimum from the three quadratic forms.
-
-    forms = (own, other, cross) where for f1 own = h^H K h,
-    other = g^H K g and cross = g^H K h.
-    """
-    own, other, cross = forms
-    a = other + 1.0
-    c = cross + rho
-    jmin = own + 1.0 - (abs(c) ** 2) / a
-    # jmin >= 1 - |rho|^2 analytically; clamp the last-ulp violations that
-    # cancellation near |rho| -> 1 can produce (bounds are never negative)
-    value = max(0.0, math.log2(jmin / (1.0 - abs(rho) ** 2)))
-    return value, c / a
+    """One bound from its three quadratic forms, with its minimizer."""
+    _, other, cross = forms
+    return float(_bound_values(forms, rho)), (cross + rho) / (other + 1.0)
 
 
 def _forms_f1(ch: ChannelPair, k: np.ndarray) -> tuple[float, float, complex]:
@@ -271,7 +274,6 @@ def _rank_one_bounds(
     u = _rank_one_directions(ch.dim, cfg)
     uh = u.conj() @ ch.h
     ug = u.conj() @ ch.g
-    rr = 1.0 - abs(rho) ** 2
     f1_parts = []
     f2_parts = []
     for frac in cfg.power_fractions:
@@ -279,23 +281,27 @@ def _rank_one_bounds(
         hh = p * np.abs(uh) ** 2
         gg = p * np.abs(ug) ** 2
         gh = p * np.conj(ug) * uh
-        j1 = hh + 1.0 - np.abs(gh + rho) ** 2 / (gg + 1.0)
-        j2 = gg + 1.0 - np.abs(np.conj(gh) + rho) ** 2 / (hh + 1.0)
-        f1_parts.append(np.maximum(np.log2(j1 / rr), 0.0))
-        f2_parts.append(np.maximum(np.log2(j2 / rr), 0.0))
+        f1_parts.append(_bound_values((hh, gg, gh), rho))
+        f2_parts.append(_bound_values((gg, hh, np.conj(gh)), rho))
     return np.concatenate(f1_parts), np.concatenate(f2_parts)
 
 
-def _kx_forms(
-    ch: ChannelPair, spec: ChannelSpectrum, alpha: float
-) -> tuple[tuple, tuple]:
-    """Quadratic forms of K_X(alpha) = K_U1 + K_U2 for both bounds."""
-    _, c2 = gamma2(ch, spec, alpha)
-    p = ch.power
-    k = alpha * p * np.outer(spec.e1, spec.e1.conj()) + (1.0 - alpha) * p * np.outer(
-        c2, c2.conj()
-    )
-    return _forms_f1(ch, k), _forms_f2(ch, k)
+def _kx_forms(ch: ChannelPair, spec: ChannelSpectrum, alpha) -> tuple[tuple, tuple]:
+    """Quadratic forms of K_X(alpha) = K_U1 + K_U2 for both bounds.
+
+    Projections onto the rank-one factors, batched over an array of alpha:
+    v^H K w = aP (v^H e1)(e1^H w) + (1-a)P (v^H c2)(c2^H w).
+    """
+    a = np.asarray(alpha, dtype=float)
+    _, c2 = gamma2(ch, spec, a)
+    w1 = a * ch.power
+    w2 = (1.0 - a) * ch.power
+    e1h, e1g = np.vdot(spec.e1, ch.h), np.vdot(spec.e1, ch.g)
+    c2h, c2g = c2.conj() @ ch.h, c2.conj() @ ch.g
+    hh = w1 * np.abs(e1h) ** 2 + w2 * np.abs(c2h) ** 2
+    gg = w1 * np.abs(e1g) ** 2 + w2 * np.abs(c2g) ** 2
+    gh = w1 * np.conj(e1g) * e1h + w2 * np.conj(c2g) * c2h
+    return (hh, gg, gh), (gg, hh, np.conj(gh))
 
 
 def outer_region(
@@ -320,13 +326,13 @@ def outer_region(
     if cfg.include_sdpc:
         spec = spectrum(ch)
         boundary = capacity_region(ch, cfg.sdpc_sweep)
-        for rect in boundary.points:
-            forms1, forms2 = _kx_forms(ch, spec, rect.param)
-            v1, _ = _f_raw(forms1, r)
-            v2, _ = _f_raw(forms2, r)
-            corner = RatePair(scale * v1, scale * v2)
-            rects.append(RateRectangle(corner, rect.param, "alpha"))
-            tagged.append((corner.r1, corner.r2, rect.param))
+        alphas = [rect.param for rect in boundary.points]
+        forms1, forms2 = _kx_forms(ch, spec, alphas)
+        bound1 = (scale * _bound_values(forms1, r)).tolist()
+        bound2 = (scale * _bound_values(forms2, r)).tolist()
+        for a, f1, f2 in zip(alphas, bound1, bound2):
+            rects.append(RateRectangle(RatePair(f1, f2), a, "alpha"))
+            tagged.append((f1, f2, a))
     pareto = geometry.pareto_corners(tagged)
     hull = tuple(RatePair(c[0], c[1]) for c in pareto)
     params = tuple(float(c[2]) for c in pareto)
@@ -378,22 +384,13 @@ def audit_inner_outer(
     # quadratic forms of K_X(alpha) for every swept parameter, as arrays
     # (the audit loops are vectorized over the sweep)
     alphas = [rect.param for rect in boundary.points]
-    forms = [_kx_forms(ch, spec, a) for a in alphas]
+    forms1, forms2 = _kx_forms(ch, spec, alphas)
     index = {a: i for i, a in enumerate(alphas)}
-    own1 = np.array([f[0][0] for f in forms])
-    oth1 = np.array([f[0][1] for f in forms])
-    crs1 = np.array([f[0][2] for f in forms])
-    own2 = np.array([f[1][0] for f in forms])
-    oth2 = np.array([f[1][1] for f in forms])
-    crs2 = np.array([f[1][2] for f in forms])
 
     def bounds_at(rho: complex, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rr = 1.0 - abs(rho) ** 2
-        j1 = own1[idx] + 1.0 - np.abs(crs1[idx] + rho) ** 2 / (oth1[idx] + 1.0)
-        j2 = own2[idx] + 1.0 - np.abs(crs2[idx] + rho) ** 2 / (oth2[idx] + 1.0)
         return (
-            np.maximum(np.log2(j1 / rr), 0.0),
-            np.maximum(np.log2(j2 / rr), 0.0),
+            _bound_values(tuple(f[idx] for f in forms1), rho),
+            _bound_values(tuple(f[idx] for f in forms2), rho),
         )
 
     hull_idx = np.array(

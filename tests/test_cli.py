@@ -22,6 +22,9 @@ def parse_error(err_text):
     return payload["error"]
 
 
+#: tight coupling of the example at P = 0, from the P -> 0+ limit of e1
+ZERO_POWER_RHO_STAR = 0.5745686931
+
 EXAMPLE_FLAGS = ["--h", "1.5,0", "--g", "1.801,0.872", "--power", "10", "--mode", "real"]
 
 
@@ -205,6 +208,15 @@ class TestOuter:
         assert code == 0
         assert json.loads(out)["rho"] == [0.3, 0.0]
 
+    def test_zero_power_default_rho_is_the_limit(self, capsys):
+        # at P = 0, e1 is the P -> 0+ limit, so rho* is defined with |rho*| < 1
+        flags = ["--h", "1.5,0", "--g", "1.801,0.872", "--power", "0", "--mode", "real"]
+        code, out, _ = run(capsys, "outer", *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["rho"][0] - ZERO_POWER_RHO_STAR) <= 1e-9
+        assert payload["frontier"] == [[0.0, 0.0]]
+
     def test_rho_parse_failure(self, capsys):
         code, _, err = run(capsys, "outer", *EXAMPLE_FLAGS, "--rho", "zzz")
         assert code == 2
@@ -233,6 +245,34 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["containment_ok"] is True
         assert payload["tightness_evaluated"] is False
+
+    def test_zero_power_passes(self, capsys):
+        flags = ["--h", "1.5,0", "--g", "1.801,0.872", "--power", "0", "--mode", "real"]
+        code, out, _ = run(capsys, "audit", *flags, "--grid", "17")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tightness_evaluated"] is True
+        assert abs(payload["rho_star"][0] - ZERO_POWER_RHO_STAR) <= 1e-9
+        assert all(gap == 0.0 for gap in payload["corner_gaps"].values())
+
+    def test_high_power_corner_gaps_within_tolerance(self, capsys):
+        # alpha1_f1 closes only when lambda1 is forward-accurate at this power
+        flags = ["--h", "1.5,0", "--g", "1.801,0.872", "--power", "1e10", "--mode", "real"]
+        code, out, _ = run(capsys, "audit", *flags, "--grid", "65")
+        assert code == 0
+        gaps = json.loads(out)["corner_gaps"]
+        assert abs(gaps["alpha1_f1"]) <= 1e-6 and abs(gaps["alpha0_f2"]) <= 1e-6
+
+    def test_complex_rho_user2_gap_reported_not_asserted(self, capsys):
+        code, out, _ = run(
+            capsys, "audit", "--h", "1,0.5j", "--g", "0.6+0.3j,0.5-0.4j",
+            "--power", "10", "--grid", "65",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["rho_star"][1]) > 1e-12
+        assert payload["corner_gaps"]["alpha0_f2"] > 1e-6
+        assert abs(payload["corner_gaps"]["alpha1_f1"]) <= 1e-6
 
     def test_fault_injection_exits_5(self, capsys):
         code, out, err = run(

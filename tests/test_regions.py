@@ -23,7 +23,7 @@ from secrecy_region import (
     xi1,
     xi2,
 )
-from secrecy_region import geometry
+from secrecy_region import geometry, regions
 
 import _oracles
 import golden
@@ -34,6 +34,15 @@ def make(h, g, power=10.0, mode="complex"):
 
 
 LIGHT = SweepConfig(grid_points=65, sagitta_tol=1e-6, refine=False)
+
+
+def segment_distance(p, a, b):
+    """Distance from point p to segment [a, b], by scalar arithmetic."""
+    vx, vy = b[0] - a[0], b[1] - a[1]
+    ll = vx * vx + vy * vy
+    t = 0.0 if ll == 0.0 else ((p[0] - a[0]) * vx + (p[1] - a[1]) * vy) / ll
+    t = min(max(t, 0.0), 1.0)
+    return math.hypot(p[0] - (a[0] + t * vx), p[1] - (a[1] + t * vy))
 
 
 class TestGamma1:
@@ -192,12 +201,37 @@ class TestCapacityRegion:
         assert b1.hull == b2.hull
         assert b1.points == b2.points
 
-    def test_thread_env_does_not_change_results(self, example_channel, monkeypatch):
-        serial = capacity_region(example_channel, LIGHT)
-        monkeypatch.setenv("SECRECY_REGION_THREADS", "4")
-        threaded = capacity_region(example_channel, LIGHT)
-        assert serial.hull == threaded.hull
-        assert serial.points == threaded.points
+    @pytest.mark.parametrize("segment_tol", [None, 0.05])
+    def test_level_order_subdivision_matches_depth_first(self, example_channel, segment_tol):
+        # the batched, level-by-level subdivision visits the same parameters
+        # as a depth-first recursion over the same corner function
+        spec = spectrum(example_channel)
+        corners = regions._corner_fn(example_channel, spec, "alpha")
+        cfg = SweepConfig(grid_points=9, sagitta_tol=1e-6, segment_tol=segment_tol)
+
+        def corner(v):
+            r1, r2 = corners(np.array([v]))
+            return float(r1[0]), float(r2[0])
+
+        base = np.linspace(0.0, 1.0, cfg.grid_points).tolist()
+        ref = {v: corner(v) for v in base}
+        stack = [(lo, hi, 0) for lo, hi in zip(base, base[1:])]
+        while stack:
+            lo, hi, depth = stack.pop()
+            if depth > 40 or hi - lo < 1e-12:
+                continue
+            mid = 0.5 * (lo + hi)
+            a, b, m = ref[lo], ref[hi], corner(mid)
+            ref[mid] = m
+            sag = segment_distance(m, a, b)
+            if sag > cfg.sagitta_tol or (
+                segment_tol is not None and math.dist(a, b) > segment_tol
+            ):
+                stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+        cache = {v: corner(v) for v in base}
+        regions._subdivide(corners, cache, cfg)
+        assert len(cache) > 1000
+        assert sorted(cache) == sorted(ref)
 
     def test_hull_union_gap_small_for_example(self, example_channel):
         b = capacity_region(example_channel, LIGHT)

@@ -154,6 +154,17 @@ class TestTightnessRho:
         assert abs(rho.real - golden.RHO_STAR_TEXT) <= 1e-9
         assert 0.0 < rho.real < 1.0
 
+    def test_zero_power_uses_the_limit_eigenvector(self, example_channel):
+        zero = ChannelPair(example_channel.h, example_channel.g, 0.0, "real")
+        rho = tightness_rho(spectrum(zero), zero.h, zero.g)
+        assert abs(rho - 0.5745686931) <= 1e-10
+        # e1 maximizes |h^H e|^2 - |g^H e|^2, so |rho*| <= 1 on any channel
+        rng = np.random.default_rng(58)
+        for dim in (2, 3, 8):
+            h, g, _ = _oracles.random_channel(rng, dim, 0.0, "complex")
+            ch = make(h, g, 0.0)
+            assert abs(tightness_rho(spectrum(ch), ch.h, ch.g)) <= 1.0
+
     def test_degenerate_pivot(self):
         ch = make([0, 0], [1, 1])
         spec = spectrum(ch)

@@ -112,6 +112,33 @@ class TestOptimalCovariances:
         with pytest.raises(ParamOutOfRange):
             optimal_covariances(example_channel, 1.2)
 
+    def test_factors_survive_rewrapping_and_arithmetic_drops_them(self, example_channel):
+        cov = optimal_covariances(example_channel, 0.3)
+        again = CovariancePair(cov.k_u1, cov.k_u2)
+        assert again.k_u1 is cov.k_u1 and again.k_u2 is cov.k_u2
+        total = cov.total
+        assert type(total) is np.ndarray
+        assert np.array_equal(total, np.asarray(cov.k_u1) + np.asarray(cov.k_u2))
+        with pytest.raises(ValueError):
+            cov.k_u1[0, 0] = 1.0  # read-only: the factor could not follow
+
+    @pytest.mark.parametrize("power", [1e8, 1e10, 1e12])
+    def test_high_power_rates_from_factors(self, power):
+        # dense t x t covariances at this scale lose ~eps * P in g^H K g,
+        # which is O(1) by design; the factors keep the rates exact
+        rng = np.random.default_rng(33)
+        for dim in (2, 3, 8):
+            h, g, _ = _oracles.random_channel(rng, dim, power, "complex")
+            ch = make(h, g, power)
+            spec = spectrum(ch)
+            for alpha in (0.25, 0.5, 0.75):
+                rates = sdpc_rates(ch, optimal_covariances(ch, alpha, spec))
+                g1 = gamma1(ch, spec, alpha)
+                g2, _ = gamma2(ch, spec, alpha)
+                assert abs(2.0**rates.r1 - g1) <= 1e-9 * g1
+                assert abs(2.0**rates.r2 - g2) <= 1e-9 * g2
+                assert verify_identity_eq9(ch, alpha, spec) <= 1e-9 * g2
+
 
 class TestIdentity:
     def test_alpha_one_exact(self, example_channel):
