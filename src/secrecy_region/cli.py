@@ -188,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p)
     p.add_argument("--grid", type=int, help="exact uniform parameter grid size")
     p.add_argument("--out-json", metavar="PATH")
-    p.add_argument(
-        "--fault-lambda-scale",
-        type=float,
-        default=1.0,
-        help=argparse.SUPPRESS,  # test hook: inflate achievable rates
-    )
 
     p = sub.add_parser(
         "reproduce-fig2",
@@ -380,9 +374,7 @@ def cmd_outer(args) -> int:
 def cmd_audit(args) -> int:
     ch = _channel_from_args(args)
     cfg = sato.AuditConfig(sweep=_sweep_from_args(args))
-    report = sato.audit_inner_outer(
-        ch, cfg, _fault_rate_scale=args.fault_lambda_scale
-    )
+    report = sato.audit_inner_outer(ch, cfg)
     text = output.dump_json(report.to_dict())
     if args.out_json:
         output.atomic_write_text(args.out_json, text)

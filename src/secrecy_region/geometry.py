@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 
 import numpy as np
 
@@ -24,7 +25,7 @@ def pareto_corners(points: list[tuple], tol: float = DEDUP_TOL) -> list[tuple]:
     """
     if not points:
         return []
-    pts = sorted(points, key=lambda p: (p[0], p[1]))
+    pts = sorted(points, key=operator.itemgetter(0, 1))
     kept: list[tuple] = []
     best_y = -math.inf
     for p in reversed(pts):  # descending x
@@ -72,13 +73,12 @@ def frontier_value(frontier: list[tuple], x: float) -> float:
     """
     if not frontier:
         return -math.inf
-    xs = [p[0] for p in frontier]
-    if x > xs[-1]:
+    if x > frontier[-1][0]:
         return -math.inf
-    if len(frontier) == 1 or x <= xs[0]:
+    if len(frontier) == 1 or x <= frontier[0][0]:
         return frontier[0][1]
-    i = bisect.bisect_right(xs, x)
-    i = min(max(i, 1), len(xs) - 1)
+    i = bisect.bisect_right(frontier, x, key=operator.itemgetter(0))
+    i = min(max(i, 1), len(frontier) - 1)
     x0, y0 = frontier[i - 1][0], frontier[i - 1][1]
     x1, y1 = frontier[i][0], frontier[i][1]
     if x1 == x0:
@@ -138,29 +138,104 @@ def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
     return np.hypot(px - (ax + t * vx), py - (ay + t * vy))
 
 
+#: point-segment pairs evaluated per block in `min_distances`
+PAIR_BLOCK = 2_000_000
+#: window padding, relative to the coordinate scale, that covers the
+#: rounding of the per-pair distance (a few ulps of that scale)
+WINDOW_PAD = 2.0**-30
+#: coordinate scale below which no per-pair product can overflow
+WINDOW_SCALE_MAX = 1e150
+
+
+def _xy(seq) -> np.ndarray:
+    """(n, 2) float array of the first two coordinates of each entry."""
+    return np.fromiter((p[k] for p in seq for k in (0, 1)), float).reshape(-1, 2)
+
+
+def _segment_d2(px, py, ax, ay, vx, vy, ll):
+    """Squared distance from (px, py) to the segments a + t v, t in [0, 1].
+
+    Broadcasts; `ll` is |v|^2 with zero-length segments mapped to 1.
+    """
+    dx = px - ax
+    dy = py - ay
+    t = np.clip((dx * vx + dy * vy) / ll, 0.0, 1.0)
+    ex = dx - t * vx
+    ey = dy - t * vy
+    return ex * ex + ey * ey
+
+
 def min_distances(points, poly) -> np.ndarray:
-    """Distance from each point to a polyline, vectorized and chunked."""
-    pts = np.asarray([(p[0], p[1]) for p in points], dtype=float)
-    line = np.asarray([(p[0], p[1]) for p in poly], dtype=float)
+    """Distance from each point to a polyline, exact for any input.
+
+    Each point is measured against a window [lo, hi] of segments. When
+    the vertex x is non-decreasing (every frontier and staircase here),
+    a segment nearer than the bracketing segments must overlap
+    [px - d0, px + d0] in x, where d0 is the padded distance to the
+    segments around the point's x; in an x-sorted chain those form one
+    index range. Other polylines, and points whose window spans most of
+    the chain, use the whole chain [0, M - 1]. The windows hold every
+    segment that can attain the minimum, so the result equals the
+    all-segments minimum bitwise.
+    """
+    pts, line = _xy(points), _xy(poly)
     if pts.size == 0:
         return np.zeros(0)
     if line.shape[0] == 0:
         return np.full(pts.shape[0], np.inf)
     if line.shape[0] == 1:
         return np.hypot(pts[:, 0] - line[0, 0], pts[:, 1] - line[0, 1])
-    a = line[:-1]
-    v = line[1:] - a
-    ll = (v * v).sum(axis=1)
-    safe_ll = np.where(ll > 0.0, ll, 1.0)
-    out = np.empty(pts.shape[0])
-    chunk = max(1, int(2_000_000 / max(line.shape[0], 1)))
-    for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo : lo + chunk]
-        diff = block[:, None, :] - a[None, :, :]
-        t = np.clip((diff * v[None, :, :]).sum(-1) / safe_ll, 0.0, 1.0)
-        proj = diff - t[:, :, None] * v[None, :, :]
-        d2 = (proj * proj).sum(-1)
-        out[lo : lo + chunk] = np.sqrt(d2.min(axis=1))
+    px, py = pts[:, 0], pts[:, 1]
+    xs = line[:, 0]
+    ax, ay = line[:-1, 0], line[:-1, 1]
+    vx, vy = line[1:, 0] - ax, line[1:, 1] - ay
+    ll = vx * vx + vy * vy
+    ll = np.where(ll > 0.0, ll, 1.0)
+    n, m = pts.shape[0], ax.shape[0]
+    lo = np.zeros(n, dtype=np.intp)
+    hi = np.full(n, m - 1, dtype=np.intp)
+
+    scale = float(np.abs(line).max())
+    if scale < WINDOW_SCALE_MAX and bool(np.all(xs[1:] >= xs[:-1])):
+        j = np.searchsorted(xs, px)
+        near = np.clip(np.stack([j - 1, j], axis=1), 0, m - 1)
+        d2 = _segment_d2(
+            px[:, None], py[:, None], ax[near], ay[near], vx[near], vy[near], ll[near]
+        )
+        pt_scale = np.abs(px) + np.abs(py) + scale
+        # the 2**-500 floor keeps the padding clear of subnormal rounding
+        reach = (
+            np.sqrt(d2.min(axis=1)) * (1.0 + WINDOW_PAD)
+            + WINDOW_PAD * pt_scale
+            + 2.0**-500
+        )
+        # segment i spans [xs[i], xs[i + 1]] in x
+        w_lo = np.maximum(np.searchsorted(xs, px - reach, side="left") - 1, 0)
+        w_hi = np.minimum(np.searchsorted(xs, px + reach, side="right") - 1, m - 1)
+        ok = np.isfinite(reach) & (pt_scale < WINDOW_SCALE_MAX) & (w_hi >= w_lo)
+        ok &= 2 * (w_hi - w_lo + 1) <= m
+        lo[ok], hi[ok] = w_lo[ok], w_hi[ok]
+
+    # points grouped by window width rounded up to a power of two, which
+    # stays below m since kept windows hold at most m / 2 segments; the
+    # whole-chain group is broadcast rather than gathered
+    width = hi - lo + 1
+    pow2 = np.left_shift(1, np.ceil(np.log2(width)).astype(np.intp))
+    group = np.where(width == m, m, pow2)
+    out = np.empty(n)
+    for k in set(group.tolist()):
+        rows = np.flatnonzero(group == k)
+        step = max(1, PAIR_BLOCK // k)
+        for s in range(0, rows.size, step):
+            r = rows[s : s + step]
+            if k == m:
+                seg = np.arange(m)[None, :]
+            else:
+                seg = np.minimum(lo[r, None] + np.arange(k), hi[r, None])
+            d2 = _segment_d2(
+                px[r, None], py[r, None], ax[seg], ay[seg], vx[seg], vy[seg], ll[seg]
+            )
+            out[r] = np.sqrt(d2.min(axis=1))
     return out
 
 

@@ -5,12 +5,10 @@ orthocomplement of span{u, w} it acts as (I, I), so its top eigenpair comes
 from a 2x2 problem on that span and depends only on a, b and the Gram data
 |u|, |w|, u^H w, whatever the antenna count. `top_rank_one_eig` solves that
 2x2 problem in closed form, vectorised over arrays of weights (a, b).
-`largest_gen_eig` keeps a generic dense route for arbitrary definite pencils,
-and `cholesky` stays as a public factorization helper.
+`largest_gen_eig` keeps a generic dense route for arbitrary definite pencils.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,29 +77,6 @@ def identity_plus_rank_one(t: int, scale: float, v: np.ndarray) -> np.ndarray:
     if v.shape[0] != t:
         raise DimensionMismatch(f"vector length {v.shape[0]} != dimension {t}")
     return np.eye(t, dtype=complex) + scale * np.outer(v, v.conj())
-
-
-def cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^H = M for Hermitian positive definite M.
-
-    Raises NotPositiveDefinite on a non-positive pivot.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    low = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = a[i, j] - np.dot(low[i, :j], low[j, :j].conj())
-            if i == j:
-                pivot = acc.real
-                if not (pivot > 0.0) or not math.isfinite(pivot):
-                    raise NotPositiveDefinite(f"pivot {pivot} at index {i}")
-                low[i, i] = math.sqrt(pivot)
-            else:
-                low[i, j] = acc / low[j, j]
-    return low
 
 
 def quadratic_form(v: np.ndarray, m: np.ndarray, w: np.ndarray) -> complex:

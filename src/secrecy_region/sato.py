@@ -149,13 +149,12 @@ def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
         raise CovarianceInvalid(
             f"K_X dimension {k.shape[0]} != channel dimension {ch.dim}"
         )
+    trace = float(np.trace(k).real)
     low = float(np.linalg.eigvalsh(k)[0])
-    if low < -PSD_TOL:
+    if low < -PSD_TOL * max(1.0, trace):
         raise CovarianceInvalid(f"K_X has eigenvalue {low:.3e} < 0")
-    if float(np.trace(k).real) > ch.power + TRACE_TOL:
-        raise CovarianceInvalid(
-            f"tr(K_X) = {float(np.trace(k).real):.12g} exceeds {ch.power}"
-        )
+    if trace > ch.power + TRACE_TOL * max(1.0, ch.power):
+        raise CovarianceInvalid(f"tr(K_X) = {trace:.12g} exceeds {ch.power}")
     return k
 
 
@@ -356,11 +355,7 @@ def _rho_grid(radius_step: float, angles: int) -> list[complex]:
     return grid
 
 
-def audit_inner_outer(
-    ch: ChannelPair,
-    grids: AuditConfig | None = None,
-    _fault_rate_scale: float = 1.0,
-) -> AuditReport:
+def audit_inner_outer(ch: ChannelPair, grids: AuditConfig | None = None) -> AuditReport:
     """Containment and tightness audit of the outer bound.
 
     Containment: every hull vertex of the achievable region must sit
@@ -372,9 +367,6 @@ def audit_inner_outer(
     Tightness: at rho* with K_X(alpha) = K_U1 + K_U2, report the per-alpha
     gaps between the bounds and the achievable rates (raw log2 units).
     Gaps are provably zero at the two corner points when rho* is real.
-
-    _fault_rate_scale is a test hook that inflates the achievable rates to
-    exercise the containment-failure path.
     """
     cfg = grids or AuditConfig()
     spec = spectrum(ch)
@@ -396,8 +388,8 @@ def audit_inner_outer(
     hull_idx = np.array(
         [index[a] for a in boundary.hull_params], dtype=int
     )
-    hull_r1 = np.array([v.r1 for v in boundary.hull]) * _fault_rate_scale
-    hull_r2 = np.array([v.r2 for v in boundary.hull]) * _fault_rate_scale
+    hull_r1 = np.array([v.r1 for v in boundary.hull])
+    hull_r2 = np.array([v.r2 for v in boundary.hull])
 
     rho_grid = _rho_grid(cfg.rho_radius_step, cfg.rho_angles)
     worst = math.inf

@@ -23,7 +23,8 @@ from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
 from .errors import CovarianceInvalid
 from .regions import RatePair, _check_param, gamma2
 
-#: PSD slack and trace slack for covariance validation
+#: PSD slack and trace slack for covariance validation, relative to
+#: max(1, tr K) and max(1, P): rounding in a dense K grows with its trace
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 
@@ -122,9 +123,9 @@ def validate_covariances(ch: ChannelPair, cov: CovariancePair) -> None:
     for name, k in (("k_u1", cov.k_u1), ("k_u2", cov.k_u2)):
         factor = _factor(k)
         low = factor[0] if factor is not None else float(np.linalg.eigvalsh(k)[0])
-        if low < -PSD_TOL:
+        if low < -PSD_TOL * max(1.0, _trace(k)):
             raise CovarianceInvalid(f"{name} has eigenvalue {low:.3e} < 0")
-    if cov.trace > ch.power + TRACE_TOL:
+    if cov.trace > ch.power + TRACE_TOL * max(1.0, ch.power):
         raise CovarianceInvalid(
             f"tr(K_U1 + K_U2) = {cov.trace:.12g} exceeds the power budget {ch.power}"
         )

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from secrecy_region import ChannelPair
+from secrecy_region import ChannelPair, RatePair, sato
 
 import golden
 
@@ -25,3 +27,17 @@ def matrix_variant_channel() -> ChannelPair:
         golden.EXAMPLE_POWER,
         "real",
     )
+
+
+@pytest.fixture
+def inflated_hull(monkeypatch):
+    """Make the audit see every achievable hull vertex scaled by 1.1, a
+    region no outer bound can contain."""
+    sweep = sato.capacity_region
+
+    def inflated(*args, **kwargs):
+        b = sweep(*args, **kwargs)
+        hull = tuple(RatePair(1.1 * v.r1, 1.1 * v.r2) for v in b.hull)
+        return dataclasses.replace(b, hull=hull)
+
+    monkeypatch.setattr(sato, "capacity_region", inflated)

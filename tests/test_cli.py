@@ -274,16 +274,8 @@ class TestAudit:
         assert payload["corner_gaps"]["alpha0_f2"] > 1e-6
         assert abs(payload["corner_gaps"]["alpha1_f1"]) <= 1e-6
 
-    def test_fault_injection_exits_5(self, capsys):
-        code, out, err = run(
-            capsys,
-            "audit",
-            *EXAMPLE_FLAGS,
-            "--grid",
-            "33",
-            "--fault-lambda-scale",
-            "1.1",
-        )
+    def test_fault_injection_exits_5(self, capsys, inflated_hull):
+        code, out, err = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "33")
         assert code == 5
         assert json.loads(out)["containment_ok"] is False
         assert parse_error(err)["code"] == "audit"

@@ -1,5 +1,5 @@
-"""Core linear algebra: Cholesky, quadratic forms, rank-one pencil kernel,
-generic pencils."""
+"""Core linear algebra: quadratic forms, rank-one pencil kernel, generic
+pencils."""
 
 import numpy as np
 import pytest
@@ -19,40 +19,6 @@ def rand_hermitian(rng, n, scale=1.0):
 def rand_hpd(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return m @ m.conj().T + np.eye(n)
-
-
-class TestCholesky:
-    def test_identity(self):
-        low = linalg.cholesky(np.eye(2, dtype=complex))
-        np.testing.assert_array_equal(low, np.eye(2))
-
-    def test_diagonal_rank_one_update(self):
-        m = linalg.identity_plus_rank_one(2, 3.0, np.array([1.0, 0.0]))
-        low = linalg.cholesky(m)
-        np.testing.assert_allclose(low, np.diag([2.0, 1.0]), atol=0)
-
-    def test_reconstruction_round_trip(self):
-        m = linalg.identity_plus_rank_one(2, 10.0, np.array([1.5, 0.0]))
-        low = linalg.cholesky(m)
-        err = np.linalg.norm(low @ low.conj().T - m) / np.linalg.norm(m)
-        assert err <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_random_round_trip(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(200):
-            m = rand_hpd(rng, n)
-            low = linalg.cholesky(m)
-            err = np.linalg.norm(low @ low.conj().T - m) / np.linalg.norm(m)
-            assert err <= 1e-12
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            linalg.cholesky(np.diag([1.0, -1.0]).astype(complex))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.cholesky(np.ones((2, 3), dtype=complex))
 
 
 class TestQuadraticForm:

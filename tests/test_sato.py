@@ -16,6 +16,7 @@ from secrecy_region import (
     SweepConfig,
     audit_inner_outer,
     capacity_region,
+    optimal_covariances,
     outer_region,
     rate_scale,
     region_contains,
@@ -120,6 +121,31 @@ class TestClosedForm:
             sato_f1(example_channel, 0.1, np.diag([1.0, -1.0]).astype(complex))
         with pytest.raises(CovarianceInvalid):
             sato_f1(example_channel, 0.1, 20.0 * np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("power", [1e8, 1e10, 1e12])
+    def test_own_covariances_accepted_at_high_power(self, power):
+        rng = np.random.default_rng(int(math.log10(power)))
+        for t in range(2, 9):
+            h = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+            g = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+            ch = make(h, g, power)
+            for alpha in (0.2, 0.5, 0.8):
+                total = optimal_covariances(ch, alpha).total
+                sato_f1(ch, 0.3, total)
+                sato_f2(ch, 0.3, total)
+
+    def test_scaled_tolerances_still_reject(self):
+        ch = make([1.5, 0.0], [1.801, 0.872], 1e10)
+        bad = [
+            np.diag([1.0, -0.5]),
+            np.diag([1e10, -1e-6 * 1e10]),  # eigenvalue about -1e-6 tr K
+            0.5e10 * (1.0 + 1e-6) * np.eye(2),  # trace 1e10 (1 + 1e-6)
+        ]
+        for k in bad:
+            with pytest.raises(CovarianceInvalid):
+                sato_f1(ch, 0.3, k.astype(complex))
+            with pytest.raises(CovarianceInvalid):
+                sato_f2(ch, 0.3, k.astype(complex))
 
     def test_random_closed_form_beats_grid(self):
         rng = np.random.default_rng(54)
@@ -271,11 +297,11 @@ class TestAudit:
                 assert report.min_gap_f1 >= -1e-9
                 assert report.min_gap_f2 >= -1e-9
 
-    def test_fault_injection_breaks_containment(self, example_channel):
+    def test_fault_injection_breaks_containment(self, example_channel, inflated_hull):
         cfg = AuditConfig(
             sweep=SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False)
         )
-        report = audit_inner_outer(example_channel, cfg, _fault_rate_scale=1.1)
+        report = audit_inner_outer(example_channel, cfg)
         assert not report.containment_ok
 
     def test_report_dict_schema(self, example_channel):

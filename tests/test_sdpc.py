@@ -72,6 +72,18 @@ class TestSdpcRates:
         with pytest.raises(CovarianceInvalid):
             sdpc_rates(example_channel, CovariancePair(k, k))
 
+    @pytest.mark.parametrize("power", [1e8, 1e10, 1e12])
+    def test_dense_own_covariances_accepted_at_high_power(self, power):
+        rng = np.random.default_rng(int(np.log10(power)))
+        for t in range(2, 9):
+            h = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+            g = rng.standard_normal(t) + 1j * rng.standard_normal(t)
+            ch = make(h, g, power)
+            for alpha in (0.2, 0.5, 0.8):
+                cov = optimal_covariances(ch, alpha)
+                dense = CovariancePair(np.array(cov.k_u1), np.array(cov.k_u2))
+                sdpc_rates(ch, dense)
+
     def test_negative_bound_clamps_to_zero(self):
         # covariance aligned with the eavesdropper direction: raw r1 < 0
         ch = make([1, 0], [0, 1], power=4.0)
