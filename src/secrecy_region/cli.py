@@ -122,13 +122,14 @@ def _channel_from_args(args) -> ChannelPair:
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep_from_args(args) -> SweepConfig:
-    if getattr(args, "grid", None) is not None:
-        if args.grid < 2:
-            raise ConfigError("--grid needs at least 2 points")
-        # an explicit grid is exact: no subdivision, no refinement
-        return SweepConfig(grid_points=args.grid, adaptive=False, refine=False)
-    return SweepConfig()
+def _sweep_from_args(args) -> SweepConfig | None:
+    """The sweep an explicit --grid asks for; None leaves the caller's default."""
+    if getattr(args, "grid", None) is None:
+        return None
+    if args.grid < 2:
+        raise ConfigError("--grid needs at least 2 points")
+    # an explicit grid is exact: no subdivision, no refinement
+    return SweepConfig(grid_points=args.grid, adaptive=False, refine=False)
 
 
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:
@@ -345,7 +346,7 @@ def cmd_outer(args) -> int:
         "rho": [rho.real, rho.imag],
         "kind": boundary.kind,
         "n_corners": len(boundary.hull),
-        "frontier": [[p.r1, p.r2] for p in boundary.hull],
+        "frontier": boundary.hull,
     }
     csv_text = output.boundary_csv(boundary)
     json_text = output.dump_json(payload)
@@ -357,13 +358,8 @@ def cmd_outer(args) -> int:
         output.atomic_write_text(args.out_json, json_text)
         wrote = True
     if args.out_svg:
-        svg = output.region_svg(
-            [
-                ("outer bound frontier", geometry.staircase_polyline(
-                    [(p.r1, p.r2) for p in boundary.hull]
-                ), "solid"),
-            ]
-        )
+        stairs = geometry.staircase_polyline(boundary.hull)
+        svg = output.region_svg([("outer bound frontier", stairs, "solid")])
         output.atomic_write_text(args.out_svg, svg)
         wrote = True
     if not wrote:
@@ -373,8 +369,8 @@ def cmd_outer(args) -> int:
 
 def cmd_audit(args) -> int:
     ch = _channel_from_args(args)
-    cfg = sato.AuditConfig(sweep=_sweep_from_args(args))
-    report = sato.audit_inner_outer(ch, cfg)
+    sweep = _sweep_from_args(args)
+    report = sato.audit_inner_outer(ch, sato.AuditConfig(sweep) if sweep else None)
     text = output.dump_json(report.to_dict())
     if args.out_json:
         output.atomic_write_text(args.out_json, text)
@@ -393,7 +389,7 @@ def cmd_audit(args) -> int:
             keys.append("alpha0_f2")
         for key in keys:
             gap = report.corner_gaps.get(key)
-            if gap is not None and abs(gap) > cfg.corner_tol:
+            if gap is not None and abs(gap) > sato.CORNER_TOL:
                 raise AuditFailure(f"corner gap {key} = {gap:.3e} exceeds tolerance")
     return EXIT_OK
 

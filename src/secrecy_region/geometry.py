@@ -7,6 +7,7 @@ non-dominated corners of a union of axis-aligned rectangles.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 
@@ -41,6 +42,22 @@ def pareto_corners(points: list[tuple], tol: float = DEDUP_TOL) -> list[tuple]:
             continue
         out.append(p)
     return out
+
+
+def pareto_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the points that can survive pareto_corners, in its
+    stable (x, y) sort order.
+
+    A point is a candidate when its y exceeds that of every point after it
+    in that order. Every point pareto_corners keeps is a candidate, and
+    dropping the others changes none of its decisions, so pareto_corners
+    gives the same list on the candidates as on all points.
+    """
+    order = np.lexsort((y, x))
+    ys = y[order]
+    later = np.maximum.accumulate(ys[::-1])[::-1]
+    beaten = np.append(later[1:], -np.inf)
+    return order[ys > beaten]
 
 
 def concave_chain(points: list[tuple]) -> list[tuple]:
@@ -116,12 +133,10 @@ def staircase_polyline(corners: list[tuple]) -> list[tuple[float, float]]:
     """
     if not corners:
         return [(0.0, 0.0)]
-    poly: list[tuple[float, float]] = [(0.0, corners[0][1])]
-    for i, c in enumerate(corners):
-        poly.append((c[0], c[1]))
-        nxt = corners[i + 1][1] if i + 1 < len(corners) else 0.0
-        poly.append((c[0], nxt))
-    return poly
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
+    steps = zip(zip(xs, ys), zip(xs, ys[1:] + [0.0]))
+    return [(0.0, ys[0]), *itertools.chain.from_iterable(steps)]
 
 
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

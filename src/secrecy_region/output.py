@@ -6,6 +6,7 @@ locale-independent formatting, and files are written atomically
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -60,7 +61,80 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def dump_json(data) -> str:
-    return json.dumps(round12(data), indent=2) + "\n"
+    """The text of json.dumps(round12(data), indent=2) plus a newline."""
+    return _json_text(data, "") + "\n"
+
+
+def _json_numbers(xs) -> list[str]:
+    """json.dumps(round12(x)) for each float x, from one %-format call.
+
+    "%.12g" keeps at most 12 significant digits, which a normal float reads
+    back exactly, so its text is already the repr of round12(x) but for
+    the ".0" repr gives integers. Positive exponents (repr writes up to
+    1e16 in full), exponents starting "e-3" (these hold the subnormals)
+    and non-finite values are written from the float instead.
+    """
+    texts = ("%.12g " * len(xs) % tuple(xs)).split()
+    return [
+        _json_float(float(t)) if "e+" in t or "e-3" in t or "n" in t
+        else t if "." in t or "e" in t
+        else t + ".0"
+        for t in texts
+    ]
+
+
+def _json_float(v: float) -> str:
+    """A float as json.dumps writes it."""
+    if math.isfinite(v):
+        return repr(v)
+    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+
+
+def _is_float_matrix(rows) -> bool:
+    """A non-empty sequence of equally long, non-empty lists or tuples of
+    floats, such as a frontier."""
+    return (
+        len(rows) > 0
+        and all(map(isinstance, rows, itertools.repeat((list, tuple))))
+        and len(set(map(len, rows))) == 1
+        and len(rows[0]) > 0
+        and set(map(type, itertools.chain.from_iterable(rows))) == {float}
+    )
+
+
+def _json_text(value, pad: str) -> str:
+    """One value indented as json.dumps(..., indent=2) would at depth `pad`.
+
+    Floats and containers, the bulk of every payload, are written here
+    (a matrix of floats by one %-format call over a row template); other
+    scalars go through round12 and json.dumps.
+    """
+    inner = pad + "  "
+    sep = "\n" + inner
+    if type(value) is float:
+        return _json_numbers([value])[0]
+    if isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if _is_float_matrix(value):
+            slots = ("," + sep + "  ").join(["%s"] * len(value[0]))
+            row = "[" + sep + "  " + slots + sep + "]"
+            flat = _json_numbers(list(itertools.chain.from_iterable(value)))
+            body = ("," + sep).join([row] * len(value)) % tuple(flat)
+            return "[" + sep + body + "\n" + pad + "]"
+        items = [_json_text(v, inner) for v in value]
+    elif isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            # json.dumps turns non-string keys into strings
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+            f"{_json_text(v, inner)}"
+            for k, v in value.items()
+        ]
+    else:
+        return json.dumps(round12(value))
+    if not items:
+        return brackets
+    return brackets[0] + sep + ("," + sep).join(items) + "\n" + pad + brackets[1]
 
 
 def boundary_csv(
@@ -74,30 +148,31 @@ def boundary_csv(
     of its corner to the dual-sweep hull and a trailing comment carries
     the symmetric Hausdorff deviation.
     """
-    lines = []
-    header = "param,r1_bits,r2_bits"
+    header, row = "param,r1_bits,r2_bits", "%.12g,%.12g,%.12g"
+    rows = [(r.param, r.corner.r1, r.corner.r2) for r in boundary.points]
     if beta_dists is not None:
-        header += ",beta_dist"
-    lines.append(header)
-    for i, rect in enumerate(boundary.points):
-        row = f"{fmt(rect.param)},{fmt(rect.corner.r1)},{fmt(rect.corner.r2)}"
-        if beta_dists is not None:
-            row += f",{fmt(beta_dists[i])}"
-        lines.append(row)
-    lines.append("# hull")
-    for p in boundary.hull:
-        lines.append(f"{fmt(p.r1)},{fmt(p.r2)}")
+        header, row = header + ",beta_dist", row + ",%.12g"
+        rows = [r + (d,) for r, d in zip(rows, beta_dists, strict=True)]
+    hull = _lines("%.12g,%.12g", boundary.hull)
+    text = f"{header}\n{_lines(row, rows)}# hull\n{hull}"
     if beta_hausdorff is not None:
-        lines.append(f"# beta_hausdorff,{fmt(beta_hausdorff)}")
-    return "\n".join(lines) + "\n"
+        text += f"# beta_hausdorff,{fmt(beta_hausdorff)}\n"
+    return text
+
+
+def _lines(row: str, rows) -> str:
+    """One line per row by a single %-format call ("%.12g" formats as fmt)."""
+    return (row + "\n") * len(rows) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _svg_path(points: list[tuple[float, float]], to_px) -> str:
-    cmds = []
-    for i, (x, y) in enumerate(points):
-        px, py = to_px(x, y)
-        cmds.append(f"{'M' if i == 0 else 'L'} {fmt(px)} {fmt(py)}")
-    return " ".join(cmds)
+    """Path data `M x y L x y ...` in pixels; to_px maps coordinate arrays."""
+    if not points:
+        return ""
+    xy = np.asarray(points, dtype=float)
+    px, py = to_px(xy[:, 0], xy[:, 1])
+    cmds = "M %.12g %.12g" + " L %.12g %.12g" * (len(xy) - 1)
+    return cmds % tuple(np.column_stack([px, py]).ravel().tolist())
 
 
 def region_svg(

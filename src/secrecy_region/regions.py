@@ -71,16 +71,27 @@ class RegionBoundary:
         return self.hull[0].r2 if self.hull else 0.0
 
 
+#: weights w of the golden-section searches for argmax r1 + w * r2
+REFINE_WEIGHTS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+#: golden-section steps per weight, and the bracket width that ends them
+REFINE_ITERS = 30
+REFINE_INTERVAL_TOL = 1e-10
+#: cap on the swept parameters of one sweep
+MAX_POINTS = 20000
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Controls for the boundary sweep.
 
     The uniform base grid is refined two ways: chord-sagitta subdivision
     until the polygonal boundary sits within `sagitta_tol` of the true
-    curve, and golden-section searches that pin the maximizer of
-    r1 + w * r2 for each weight w. `segment_tol`, when set, also splits
-    any boundary chord longer than the given length (used by the outer
-    bound's staircase, which needs short steps rather than low sagitta).
+    curve, and (with `refine`) golden-section searches that pin the
+    maximizer of r1 + w * r2 for each weight in `REFINE_WEIGHTS`.
+    `segment_tol`, when set, also splits any boundary chord longer than
+    the given length (used by the outer bound's staircase, which needs
+    short steps rather than low sagitta). A sweep stops adding parameters
+    at `MAX_POINTS`.
     """
 
     grid_points: int = 512
@@ -88,10 +99,6 @@ class SweepConfig:
     sagitta_tol: float = 1e-7
     segment_tol: float | None = None
     refine: bool = True
-    refine_weights: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-    refine_iters: int = 30
-    refine_interval_tol: float = 1e-10
-    max_points: int = 20000
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -223,38 +230,34 @@ def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -
     Runs level by level: all midpoints of one level go through one batched
     corner evaluation. An interval is split when its own sagitta (or chord
     length) test fails, so the parameters visited do not depend on the
-    order; only the `max_points` cap, applied in parameter order within a
+    order; only the `MAX_POINTS` cap, applied in parameter order within a
     level, does.
     """
-    params = sorted(cache)
-    intervals = list(zip(params, params[1:]))
+    params = np.array(sorted(cache))
+    corner = np.array([cache[v] for v in params.tolist()])
+    # intervals [lo, hi] in parameter order, with their end corners a, b
+    lo, hi, a, b = params[:-1], params[1:], corner[:-1], corner[1:]
     for _depth in range(41):
-        intervals = [(lo, hi) for lo, hi in intervals if hi - lo >= 1e-12]
-        intervals = intervals[: max(cfg.max_points - len(cache), 0)]
-        if not intervals:
+        live = np.flatnonzero(hi - lo >= 1e-12)[: max(MAX_POINTS - len(cache), 0)]
+        if live.size == 0:
             return
-        lo = np.array([iv[0] for iv in intervals])
-        hi = np.array([iv[1] for iv in intervals])
+        lo, hi, a, b = lo[live], hi[live], a[live], b[live]
         mid = 0.5 * (lo + hi)
         m1, m2 = corners(mid)
-        a = np.array([cache[v] for v in lo])
-        b = np.array([cache[v] for v in hi])
-        mids = mid.tolist()
-        cache.update(zip(mids, zip(m1.tolist(), m2.tolist())))
-        sag = geometry.segment_distances(np.stack([m1, m2], axis=1), a, b)
-        split = sag > cfg.sagitta_tol
+        m = np.stack([m1, m2], axis=1)
+        cache.update(zip(mid.tolist(), zip(m1.tolist(), m2.tolist())))
+        split = geometry.segment_distances(m, a, b) > cfg.sagitta_tol
         if cfg.segment_tol is not None:
             split |= np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) > cfg.segment_tol
-        nxt = []
-        for i in np.flatnonzero(split).tolist():
-            nxt.append((intervals[i][0], mids[i]))
-            nxt.append((mids[i], intervals[i][1]))
-        intervals = nxt
+        # each split interval becomes its halves [lo, mid], [mid, hi], in order
+        s = np.flatnonzero(split)
+        lo = np.stack([lo[s], mid[s]], axis=1).ravel()
+        hi = np.stack([mid[s], hi[s]], axis=1).ravel()
+        a = np.stack([a[s], m[s]], axis=1).reshape(-1, 2)
+        b = np.stack([m[s], b[s]], axis=1).reshape(-1, 2)
 
 
-def _golden_refine(
-    corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig
-) -> None:
+def _golden_refine(corners: CornerFn, cache: dict[float, tuple]) -> None:
     """Golden-section search of argmax r1 + w*r2 for each weight."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -265,13 +268,13 @@ def _golden_refine(
         p = cache[value]
         return p[0] + w * p[1]
 
-    for w in cfg.refine_weights:
+    for w in REFINE_WEIGHTS:
         lo, hi = 0.0, 1.0
         x1 = hi - inv_phi * (hi - lo)
         x2 = lo + inv_phi * (hi - lo)
         f1, f2 = score(x1, w), score(x2, w)
-        for _ in range(cfg.refine_iters):
-            if hi - lo < cfg.refine_interval_tol or len(cache) >= cfg.max_points:
+        for _ in range(REFINE_ITERS):
+            if hi - lo < REFINE_INTERVAL_TOL or len(cache) >= MAX_POINTS:
                 break
             if f1 >= f2:
                 hi, x2, f2 = x2, x1, f1
@@ -324,8 +327,11 @@ def _build_boundary(
     )
 
 
-def _sweep(ch: ChannelPair, cfg: SweepConfig, param_kind: str) -> RegionBoundary:
-    spec = spectrum(ch)
+def sweep_corners(
+    ch: ChannelPair, spec: ChannelSpectrum, cfg: SweepConfig, param_kind: str
+) -> dict[float, tuple[float, float]]:
+    """Swept parameter -> rectangle corner (r1, r2): the base grid plus the
+    subdivision and refinement points, before any hull is taken."""
     corners = _corner_fn(ch, spec, param_kind)
     base = np.linspace(0.0, 1.0, cfg.grid_points)
     r1, r2 = corners(base)
@@ -333,7 +339,13 @@ def _sweep(ch: ChannelPair, cfg: SweepConfig, param_kind: str) -> RegionBoundary
     if cfg.adaptive:
         _subdivide(corners, cache, cfg)
     if cfg.refine:
-        _golden_refine(corners, cache, cfg)
+        _golden_refine(corners, cache)
+    return cache
+
+
+def _sweep(ch: ChannelPair, cfg: SweepConfig, param_kind: str) -> RegionBoundary:
+    spec = spectrum(ch)
+    cache = sweep_corners(ch, spec, cfg, param_kind)
     rects = [
         RateRectangle(RatePair(*cache[v]), v, param_kind) for v in sorted(cache)
     ]

@@ -27,12 +27,14 @@ from . import geometry, linalg
 from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
 from .errors import CovarianceInvalid, DegeneratePivot, NumericsError, RhoOnUnitCircle
 from .regions import (
+    PARAM_ALPHA,
     RatePair,
     RateRectangle,
     RegionBoundary,
     SweepConfig,
     capacity_region,
     gamma2,
+    sweep_corners,
 )
 from .sdpc import PSD_TOL, TRACE_TOL
 
@@ -59,19 +61,21 @@ class SatoEvaluation:
 class CovSearchConfig:
     """Input-covariance family searched when tracing the outer region.
 
-    Rank-one directions come from a deterministic sphere grid (t = 2) or
-    a Sobol sequence (t > 2); full power only, since the bounds are
-    monotone in the covariance and lower-power rectangles are dominated.
-    The boundary-achieving rank-two family rides along on a parameter grid
-    refined until consecutive rectangle corners are `sdpc_segment_tol`
+    f1 and f2 see K_X only through h^H K h, g^H K g and g^H K h, and both
+    grow with K_X in the positive-semidefinite order. A rank-one K = P u u^H
+    therefore sees only the projection of u onto span{h, g}, and scaling
+    that projection up to a unit vector at full power dominates it (as it
+    dominates any lower-power K). So the rank-one search covers the unit
+    sphere of C^2, in coordinates of an orthonormal basis of span{h, g}, on
+    an `angles` x `phases` grid of (cos th, sin th e^{i phi}), whatever the
+    antenna count; its staircase depends only on the Gram data and P. The
+    boundary-achieving rank-two family rides along on a parameter grid
+    refined until consecutive rectangle corners are `sdpc_sweep.segment_tol`
     apart, which is what limits the staircase resolution.
     """
 
     angles: int = 256
     phases: int = 64
-    quasi_points: int = 4096
-    power_fractions: tuple[float, ...] = (1.0,)
-    include_sdpc: bool = True
     sdpc_sweep: SweepConfig = field(
         default_factory=lambda: SweepConfig(
             grid_points=129, sagitta_tol=1e-5, segment_tol=2.5e-3, refine=False
@@ -79,13 +83,24 @@ class CovSearchConfig:
     )
 
 
+#: audit rho grid: 0 plus `RHO_ANGLES` angles on each radius step
+RHO_RADIUS_STEP = 0.1
+RHO_ANGLES = 16
+
+#: audit tolerances (raw log2 units) on the worst witness margin and on
+#: the asserted corner gaps
+CONTAINMENT_TOL = 1e-6
+CORNER_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class AuditConfig:
-    """Grids for the inner/outer consistency audit.
+    """Sweep behind the inner/outer consistency audit.
 
     The audit's precision does not depend on sweep density (witness
     rectangles are exact per swept corner), so the default sweep is
-    lighter than the region default.
+    lighter than the region default. The rho grid and the tolerances are
+    the module constants above.
     """
 
     sweep: SweepConfig = field(
@@ -93,10 +108,6 @@ class AuditConfig:
             grid_points=257, sagitta_tol=1e-6, refine=False
         )
     )
-    rho_radius_step: float = 0.1
-    rho_angles: int = 16
-    containment_tol: float = 1e-6
-    corner_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -242,47 +253,32 @@ def tightness_rho(
     return rho
 
 
-def _rank_one_directions(t: int, cfg: CovSearchConfig) -> np.ndarray:
-    """Deterministic unit-vector family spanning the complex sphere."""
-    if t == 2:
-        theta = np.linspace(0.0, 0.5 * math.pi, cfg.angles)
-        phi = np.linspace(0.0, 2.0 * math.pi, cfg.phases, endpoint=False)
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        u = np.stack(
-            [np.cos(th).ravel() + 0j, (np.sin(th) * np.exp(1j * ph)).ravel()],
-            axis=1,
-        )
-        return u
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=2 * t, scramble=False)
-    raw = sampler.random(cfg.quasi_points)
-    from scipy.special import ndtri
-
-    z = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
-    u = z[:, :t] + 1j * z[:, t:]
-    norms = np.linalg.norm(u, axis=1)
-    norms[norms == 0.0] = 1.0
-    return u / norms[:, None]
-
-
 def _rank_one_bounds(
     ch: ChannelPair, rho: complex, cfg: CovSearchConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (f1, f2) over the rank-one K_X family, in raw log2 units."""
-    u = _rank_one_directions(ch.dim, cfg)
-    uh = u.conj() @ ch.h
-    ug = u.conj() @ ch.g
-    f1_parts = []
-    f2_parts = []
-    for frac in cfg.power_fractions:
-        p = frac * ch.power
-        hh = p * np.abs(uh) ** 2
-        gg = p * np.abs(ug) ** 2
-        gh = p * np.conj(ug) * uh
-        f1_parts.append(_bound_values((hh, gg, gh), rho))
-        f2_parts.append(_bound_values((gg, hh, np.conj(gh)), rho))
-    return np.concatenate(f1_parts), np.concatenate(f2_parts)
+    """Vectorized (f1, f2) over the full-power rank-one family on
+    span{h, g}, in raw log2 units (see CovSearchConfig)."""
+    # coordinates of h and g in an orthonormal basis of a plane holding
+    # both; rows rescaled to a real nonnegative diagonal, so that they
+    # depend only on the Gram data
+    r = np.linalg.qr(np.stack([ch.h, ch.g], axis=1).astype(complex), mode="r")
+    d = np.diagonal(r).copy()
+    d[d == 0] = 1.0
+    r = (np.abs(d) / d)[:, None] * r
+    theta = np.linspace(0.0, 0.5 * math.pi, cfg.angles)
+    phi = np.linspace(0.0, 2.0 * math.pi, cfg.phases, endpoint=False)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    u = np.stack(
+        [np.cos(th).ravel() + 0j, (np.sin(th) * np.exp(1j * ph)).ravel()], axis=1
+    )
+    # products summed elementwise here and in _kx_forms: `@` would call a
+    # threaded BLAS matrix-vector kernel that costs more than the product
+    uh = (u.conj() * r[:, 0]).sum(axis=1)
+    ug = (u.conj() * r[:, 1]).sum(axis=1)
+    hh = ch.power * np.abs(uh) ** 2
+    gg = ch.power * np.abs(ug) ** 2
+    gh = ch.power * np.conj(ug) * uh
+    return _bound_values((hh, gg, gh), rho), _bound_values((gg, hh, np.conj(gh)), rho)
 
 
 def _kx_forms(ch: ChannelPair, spec: ChannelSpectrum, alpha) -> tuple[tuple, tuple]:
@@ -296,7 +292,7 @@ def _kx_forms(ch: ChannelPair, spec: ChannelSpectrum, alpha) -> tuple[tuple, tup
     w1 = a * ch.power
     w2 = (1.0 - a) * ch.power
     e1h, e1g = np.vdot(spec.e1, ch.h), np.vdot(spec.e1, ch.g)
-    c2h, c2g = c2.conj() @ ch.h, c2.conj() @ ch.g
+    c2h, c2g = (c2.conj() * ch.h).sum(axis=1), (c2.conj() * ch.g).sum(axis=1)
     hh = w1 * np.abs(e1h) ** 2 + w2 * np.abs(c2h) ** 2
     gg = w1 * np.abs(e1g) ** 2 + w2 * np.abs(c2g) ** 2
     gh = w1 * np.conj(e1g) * e1h + w2 * np.conj(c2g) * c2h
@@ -316,42 +312,39 @@ def outer_region(
     r = _check_rho(rho, RHO_GRID_EDGE)
     cfg = search or CovSearchConfig()
     scale = rate_scale(ch)
-    f1s, f2s = _rank_one_bounds(ch, r, cfg)
-    tagged = [
-        (scale * float(a), scale * float(b), math.nan)
-        for a, b in zip(f1s, f2s)
-    ]
-    rects: list[RateRectangle] = []
-    if cfg.include_sdpc:
-        spec = spectrum(ch)
-        boundary = capacity_region(ch, cfg.sdpc_sweep)
-        alphas = [rect.param for rect in boundary.points]
-        forms1, forms2 = _kx_forms(ch, spec, alphas)
-        bound1 = (scale * _bound_values(forms1, r)).tolist()
-        bound2 = (scale * _bound_values(forms2, r)).tolist()
-        for a, f1, f2 in zip(alphas, bound1, bound2):
-            rects.append(RateRectangle(RatePair(f1, f2), a, "alpha"))
-            tagged.append((f1, f2, a))
-    pareto = geometry.pareto_corners(tagged)
-    hull = tuple(RatePair(c[0], c[1]) for c in pareto)
-    params = tuple(float(c[2]) for c in pareto)
+    spec = spectrum(ch)
+    alphas = np.array(sorted(sweep_corners(ch, spec, cfg.sdpc_sweep, PARAM_ALPHA)))
+    forms1, forms2 = _kx_forms(ch, spec, alphas)
+    ones1, ones2 = _rank_one_bounds(ch, r, cfg)
+    # rank-one candidates first, then the boundary covariances
+    f1 = scale * np.concatenate([ones1, _bound_values(forms1, r)])
+    f2 = scale * np.concatenate([ones2, _bound_values(forms2, r)])
+    tags = np.concatenate([np.full(ones1.size, math.nan), alphas])
+    keep = geometry.pareto_candidates(f1, f2)
+    pareto = geometry.pareto_corners(
+        list(zip(f1[keep].tolist(), f2[keep].tolist(), tags[keep].tolist()))
+    )
+    n = ones1.size
     return RegionBoundary(
-        points=tuple(rects),
-        hull=hull,
-        hull_params=params,
+        points=tuple(
+            RateRectangle(RatePair(b1, b2), a, PARAM_ALPHA)
+            for b1, b2, a in zip(f1[n:].tolist(), f2[n:].tolist(), alphas.tolist())
+        ),
+        hull=tuple(RatePair(c[0], c[1]) for c in pareto),
+        hull_params=tuple(float(c[2]) for c in pareto),
         kind="outer",
         hull_union_gap=0.0,
     )
 
 
-def _rho_grid(radius_step: float, angles: int) -> list[complex]:
+def _rho_grid() -> list[complex]:
     grid: list[complex] = [0j]
-    radius = radius_step
+    radius = RHO_RADIUS_STEP
     while radius < 1.0 - RHO_GRID_EDGE:
-        for k in range(angles):
-            ang = 2.0 * math.pi * k / angles
+        for k in range(RHO_ANGLES):
+            ang = 2.0 * math.pi * k / RHO_ANGLES
             grid.append(radius * cmath.exp(1j * ang))
-        radius += radius_step
+        radius += RHO_RADIUS_STEP
     return grid
 
 
@@ -391,15 +384,13 @@ def audit_inner_outer(ch: ChannelPair, grids: AuditConfig | None = None) -> Audi
     hull_r1 = np.array([v.r1 for v in boundary.hull])
     hull_r2 = np.array([v.r2 for v in boundary.hull])
 
-    rho_grid = _rho_grid(cfg.rho_radius_step, cfg.rho_angles)
+    rho_grid = _rho_grid()
     worst = math.inf
     for rho in rho_grid:
         f1, f2 = bounds_at(rho, hull_idx)
         m = min(float((scale * f1 - hull_r1).min()), float((scale * f2 - hull_r2).min()))
         worst = min(worst, m)
-    if hull_idx.size == 0:
-        worst = 0.0
-    containment_ok = worst >= -cfg.containment_tol
+    containment_ok = worst >= -CONTAINMENT_TOL
 
     # tightness at rho*
     rho_star: complex | None

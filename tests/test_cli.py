@@ -1,11 +1,14 @@
 """End-to-end CLI runs: every subcommand and every exit-code path."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 
-from secrecy_region import cli
+from secrecy_region import cli, sato
 
 import golden
 
@@ -274,6 +277,14 @@ class TestAudit:
         assert payload["corner_gaps"]["alpha0_f2"] > 1e-6
         assert abs(payload["corner_gaps"]["alpha1_f1"]) <= 1e-6
 
+    def test_default_sweep_is_the_audit_default(self, capsys, example_channel):
+        # without --grid the CLI audits on AuditConfig's sweep, not the
+        # region's
+        code, out, _ = run(capsys, "audit", *EXAMPLE_FLAGS)
+        assert code == 0
+        report = sato.audit_inner_outer(example_channel)
+        assert json.loads(out)["hull_size"] == report.hull_size
+
     def test_fault_injection_exits_5(self, capsys, inflated_hull):
         code, out, err = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "33")
         assert code == 5
@@ -309,3 +320,25 @@ class TestReproduceFig2:
         payload = json.loads(out)
         assert payload["r1_max_bits"] == 0.0 and payload["r2_max_bits"] == 0.0
         assert payload["equal_rate_gap_bits"] == 0.0
+
+
+#: runs `outer` on a 3-antenna complex channel and an exact-grid `audit`,
+#: then prints the SciPy modules they left imported
+IMPORT_PROBE = """
+import contextlib, io, sys
+from secrecy_region import cli
+flags = ["--h", "1+0.5j,0.3,-0.2j", "--g", "0.4,0.9-0.1j,0.5", "--power", "10"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["outer", *flags]), cli.main(["audit", *flags, "--grid", "65"])]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestImports:
+    def test_outer_and_audit_leave_scipy_unimported(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[0, 0] []"

@@ -123,3 +123,18 @@ def test_min_distances_equal_brute_force(case, seed):
         want = brute_min_distances(points, poly)
     assert got.shape == (len(points),)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pareto_candidates_keep_pareto_corners(seed):
+    # pareto_corners on the candidates equals pareto_corners on every point,
+    # with exact ties, repeated points and near-duplicates within DEDUP_TOL
+    rng = np.random.default_rng(seed)
+    xy = np.round(rng.random((3000, 2)), 2 + seed % 3)
+    xy[:40] = xy[40:80]
+    xy[80:120] = xy[120:160] + 0.3 * geometry.DEDUP_TOL * rng.standard_normal((40, 2))
+    points = [(x, y, i) for i, (x, y) in enumerate(xy.tolist())]
+    keep = geometry.pareto_candidates(xy[:, 0], xy[:, 1])
+    assert np.unique(keep).size == keep.size
+    subset = [points[i] for i in keep.tolist()]
+    assert geometry.pareto_corners(subset) == geometry.pareto_corners(points)

@@ -1,11 +1,14 @@
 """Serialization: number formatting, CSV layout, SVG, atomic writes."""
 
+import json
+import math
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from secrecy_region import SweepConfig, capacity_region
+from secrecy_region import RatePair, SweepConfig, capacity_region
 from secrecy_region import output
 
 
@@ -30,7 +33,63 @@ class TestNumberFormat:
         assert rounded["c"] is True and rounded["d"] is None
 
 
+class TestDumpJson:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"a": [1.0000000000001, {"b": 2.5}], "c": True, "d": None, "e": "x%s"},
+            {"frontier": [[0.1, 1.0 / 3.0], [2.0, math.inf], [1e-300, -0.0]]},
+            {"hull": (RatePair(1.5, 2.0), RatePair(math.nan, -math.inf))},
+            {"ragged": [[1.0, 2.0], [3.0]], "mixed": [[1.0, 2], [3.0, 4.0]]},
+            {"empty": [], "nested": [[]], "d": {}, "rows": [[1.0], [2.0]]},
+            {"numpy": [np.float64(0.1), np.int64(3), np.bool_(True)], "n": 12},
+            {1: 1.5, 2.5: "v", False: None, "\u00e9\"%": [0.2, 0.30000000000000004]},
+            [[123456789012345.0, 1e16], [7.0, -2.5e-7]],
+            [0.5],
+            math.nan,
+        ],
+    )
+    def test_matches_stdlib_encoder(self, data):
+        # the writer must give the text of the stdlib encoder on rounded data
+        ref = json.dumps(output.round12(data), indent=2) + "\n"
+        assert output.dump_json(data) == ref
+
+    def test_matches_stdlib_across_magnitudes(self):
+        # every decade of the float range, subnormals and integers included
+        rng = np.random.default_rng(4)
+        scale = 10.0 ** rng.integers(-323, 308, 4000)
+        values = rng.standard_normal(4000) * scale
+        rows = np.stack([values, np.trunc(values)], axis=1).tolist()
+        rows += [[0.0, -0.0], [1e12, 123456789012.0], [1e16, 5e-324]]
+        ref = json.dumps(output.round12(rows), indent=2) + "\n"
+        assert output.dump_json(rows) == ref
+
+    def test_matches_stdlib_on_a_sweep(self, boundary):
+        data = {
+            "points": [
+                {"param": r.param, "r1_bits": r.corner.r1, "r2_bits": r.corner.r2}
+                for r in boundary.points
+            ],
+            "hull": [[p.r1, p.r2] for p in boundary.hull],
+        }
+        ref = json.dumps(output.round12(data), indent=2) + "\n"
+        assert output.dump_json(data) == ref
+
+
 class TestBoundaryCsv:
+    def test_rows_match_fmt(self, boundary):
+        # reference: one fmt call per number, row by row
+        fmt = output.fmt
+        dists = [0.25 * i for i in range(len(boundary.points))]
+        ref = ["param,r1_bits,r2_bits,beta_dist"]
+        ref += [
+            f"{fmt(r.param)},{fmt(r.corner.r1)},{fmt(r.corner.r2)},{fmt(d)}"
+            for r, d in zip(boundary.points, dists)
+        ]
+        ref += ["# hull"] + [f"{fmt(p.r1)},{fmt(p.r2)}" for p in boundary.hull]
+        ref += [f"# beta_hausdorff,{fmt(3e-9)}"]
+        assert output.boundary_csv(boundary, dists, 3e-9) == "\n".join(ref) + "\n"
+
     def test_layout(self, boundary):
         text = output.boundary_csv(boundary)
         lines = text.strip().split("\n")
@@ -80,6 +139,21 @@ class TestSvg:
         assert root.tag.endswith("svg")
         assert "stroke-dasharray" in svg1
         assert "<path" in svg1
+
+    def test_path_matches_pointwise(self):
+        # reference: each vertex mapped and formatted on its own
+        rng = np.random.default_rng(3)
+        pts = [(float(x), float(y)) for x, y in 3.0 * rng.random((50, 2))] + [(0, 2)]
+
+        def to_px(x, y):
+            return 60 + (x / 3.15) * 440, 400 - (y / 3.15) * 340
+
+        pixels = [to_px(x, y) for x, y in pts]
+        ref = " ".join(
+            f"{'M' if i == 0 else 'L'} {output.fmt(px)} {output.fmt(py)}"
+            for i, (px, py) in enumerate(pixels)
+        )
+        assert output._svg_path(pts, to_px) == ref
 
     def test_single_point_curve(self):
         svg = output.region_svg([("point", [(0.0, 0.0)], "solid")])

@@ -25,7 +25,7 @@ from secrecy_region import (
     spectrum,
     tightness_rho,
 )
-from secrecy_region import geometry
+from secrecy_region import geometry, sato
 from secrecy_region.sato import evaluate
 
 import _oracles
@@ -240,7 +240,6 @@ class TestOuterRegion:
         cfg = CovSearchConfig(
             angles=16,
             phases=8,
-            include_sdpc=True,
             sdpc_sweep=SweepConfig(grid_points=17, sagitta_tol=1e-4, refine=False),
         )
         b = outer_region(example_channel, 0.1, cfg)
@@ -248,13 +247,11 @@ class TestOuterRegion:
         assert len(b.hull) >= 2
 
     def test_three_antenna_quasirandom_directions(self):
-        # t > 2 takes the low-discrepancy direction family
+        # t > 2 searches the same sphere grid, on span{h, g}
         rng = np.random.default_rng(57)
         h, g, p = _oracles.random_channel(rng, 3, 5.0, "real")
         ch = make(h, g, p, "real")
         cfg = CovSearchConfig(
-            quasi_points=256,
-            include_sdpc=True,
             sdpc_sweep=SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False),
         )
         spec = spectrum(ch)
@@ -264,6 +261,28 @@ class TestOuterRegion:
         hull = capacity_region(ch, SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False))
         for vertex in hull.hull:
             assert region_contains(outer, vertex, tol=1e-6)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_rank_one_staircase_rotation_invariant(self, dim):
+        # the rank-one search sees only the Gram data of (h, g): a unitary
+        # rotation of both leaves its staircase in place
+        rng = np.random.default_rng(58 + dim)
+        h = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar unitary
+        cfg = CovSearchConfig()
+
+        def staircase(ch, rho):
+            f1, f2 = sato._rank_one_bounds(ch, rho, cfg)
+            corners = geometry.pareto_corners(list(zip(f1.tolist(), f2.tolist())))
+            return geometry.staircase_polyline(corners)
+
+        for rho in (0.0, 0.3, 0.4 - 0.2j):
+            base = staircase(make(h, g), rho)
+            rotated = staircase(make(u @ h, u @ g), rho)
+            assert geometry.hausdorff_distance(base, rotated) <= 1e-10
 
 
 class TestAudit:
