@@ -241,16 +241,17 @@ def cmd_spectrum(args) -> int:
 
 
 def _boundary_payload(boundary) -> dict:
+    points = np.rec.fromarrays(
+        [boundary.params, boundary.points[:, 0], boundary.points[:, 1]],
+        names="param,r1_bits,r2_bits",
+    )
     return {
         "kind": boundary.kind,
         "r1_max_bits": boundary.r1_max,
         "r2_max_bits": boundary.r2_max,
         "hull_union_gap_bits": boundary.hull_union_gap,
-        "points": [
-            {"param": r.param, "r1_bits": r.corner.r1, "r2_bits": r.corner.r2}
-            for r in boundary.points
-        ],
-        "hull": [[p.r1, p.r2] for p in boundary.hull],
+        "points": points,
+        "hull": boundary.hull,
     }
 
 
@@ -262,15 +263,12 @@ def cmd_region(args) -> int:
     beta_hd = None
     payload = _boundary_payload(boundary)
     if args.beta_check:
-        dual = capacity_region_beta(ch, cfg)
-        dual_frontier = dual.frontier()
-        beta_dists = geometry.min_distances(
-            [(r.corner.r1, r.corner.r2) for r in boundary.points], dual_frontier
-        ).tolist()
+        dual_frontier = capacity_region_beta(ch, cfg).frontier()
+        beta_dists = geometry.min_distances(boundary.points, dual_frontier)
         beta_hd = geometry.hausdorff_distance(boundary.frontier(), dual_frontier)
         payload["beta_check"] = {
             "hausdorff_bits": beta_hd,
-            "max_corner_dist_bits": max(beta_dists, default=0.0),
+            "max_corner_dist_bits": float(beta_dists.max(initial=0.0)),
         }
     csv_text = output.boundary_csv(boundary, beta_dists, beta_hd)
     json_text = output.dump_json(payload)
@@ -302,7 +300,7 @@ def cmd_sdpc(args) -> int:
         cfg = _sweep_from_args(args)
         boundary = capacity_region(ch, cfg)
         # corners through the covariance route, cross-checked per point
-        gaps = [sdpc.verify_identity_eq9(ch, r.param) for r in boundary.points]
+        gaps = [sdpc.verify_identity_eq9(ch, a) for a in boundary.params.tolist()]
         payload = _boundary_payload(boundary)
         payload["max_identity_gap"] = max(gaps, default=0.0)
         csv_text = output.boundary_csv(boundary)
@@ -429,7 +427,7 @@ def cmd_reproduce_fig2(args) -> int:
     if args.out_json:
         payload = _boundary_payload(boundary)
         payload.update(summary)
-        payload["time_sharing"] = [[p.r1, p.r2] for p in ts.hull]
+        payload["time_sharing"] = ts.hull
         output.atomic_write_text(args.out_json, output.dump_json(payload))
     sys.stdout.write(output.dump_json(summary))
     return EXIT_OK
@@ -454,9 +452,16 @@ def _emit_error(code: str, exit_code: int, message: str) -> int:
     return exit_code
 
 
+#: the parser, built by the first `main` call
+_PARSER = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except ConfigError as exc:
         return _emit_error("config", EXIT_CONFIG, str(exc))
     try:

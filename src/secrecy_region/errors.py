@@ -5,10 +5,6 @@ class NumericsError(Exception):
     """Base class for numerical-contract violations."""
 
 
-class NotPositiveDefinite(NumericsError):
-    """A matrix required to be Hermitian positive definite is not."""
-
-
 class DimensionMismatch(NumericsError):
     """Operands have incompatible shapes."""
 

@@ -6,10 +6,7 @@ non-dominated corners of a union of axis-aligned rectangles.
 """
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -17,31 +14,50 @@ import numpy as np
 DEDUP_TOL = 1e-12
 
 
-def pareto_corners(points: list[tuple], tol: float = DEDUP_TOL) -> list[tuple]:
-    """Non-dominated points, sorted with x strictly increasing, y strictly
-    decreasing. `points` are (x, y, *tags); tags ride along.
+def pareto_corners(points, tol: float = DEDUP_TOL) -> np.ndarray:
+    """Non-dominated rows of an (n, k) array of (x, y, *tags), sorted with
+    x strictly increasing, y strictly decreasing; tags ride along.
 
     A point survives iff no other point is >= in both coordinates (ties
-    within tol collapse to one representative).
+    within tol collapse to one representative). Only the rows that
+    `pareto_candidates` keeps are scanned.
     """
-    if not points:
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        return np.zeros((0, 2))
+    rows = pts[pareto_candidates(pts[:, 0], pts[:, 1])][::-1]
+    # by descending x, keep a row whose y clears the last kept y by tol
+    rows = rows[_scan_keep(rows[:, 1], lambda a, b: a > b + tol)][::-1]
+    # collapse near-duplicate x onto the first, higher-y, representative
+    return rows[_scan_keep(rows[:, 0], lambda a, b: abs(a - b) > tol)]
+
+
+def _scan_keep(v: np.ndarray, keeps) -> list[int]:
+    """Indices kept by a scan that keeps v[0], then each v[i] for which
+    keeps(v[i], v[last kept]) holds.
+
+    While the last kept entry is the previous one the test is that of
+    consecutive entries, evaluated for all of them at once; the scan
+    steps one entry at a time only past the entries where it fails.
+    """
+    n = len(v)
+    if n == 0:
         return []
-    pts = sorted(points, key=operator.itemgetter(0, 1))
-    kept: list[tuple] = []
-    best_y = -math.inf
-    for p in reversed(pts):  # descending x
-        if p[1] > best_y + tol:
-            kept.append(p)
-            best_y = p[1]
-    kept.reverse()
-    # collapse near-duplicate x (keep the higher-y representative, which is
-    # the earlier entry since y decreases along the list)
-    out: list[tuple] = []
-    for p in kept:
-        if out and abs(p[0] - out[-1][0]) <= tol:
-            continue
-        out.append(p)
-    return out
+    fails = (np.flatnonzero(~keeps(v[1:], v[:-1])) + 1).tolist() + [n]
+    vals = v.tolist()
+    kept, i, f = [0], 1, 0
+    while i < n:
+        if kept[-1] == i - 1:
+            while fails[f] < i:
+                f += 1
+            kept.extend(range(i, fails[f]))
+            i = fails[f]
+            if i == n:
+                break
+        if keeps(vals[i], vals[kept[-1]]):
+            kept.append(i)
+        i += 1
+    return kept
 
 
 def pareto_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -60,83 +76,99 @@ def pareto_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return order[ys > beaten]
 
 
-def concave_chain(points: list[tuple]) -> list[tuple]:
-    """Upper-right convex-hull chain of a Pareto-sorted point list.
+def concave_chain(points) -> np.ndarray:
+    """Upper-right convex-hull chain of a Pareto-sorted point array.
 
     Input must come from pareto_corners. Drops points on or below the
     chord of their neighbours, so consecutive segment slopes end up
-    strictly decreasing.
+    strictly decreasing. The stack scan tests each point against the top
+    two chain points; while these are the two rows before it, that test
+    is the cross product of three consecutive rows, evaluated for all
+    rows at once, and the scan steps row by row only from the rows where
+    it pops (none on a swept concave frontier).
     """
-    if len(points) <= 2:
-        return list(points)
-    chain: list[tuple] = []
-    for p in points:
-        while len(chain) >= 2:
-            ax, ay = chain[-2][0], chain[-2][1]
-            bx, by = chain[-1][0], chain[-1][1]
-            cross = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-            if cross >= 0.0:  # chain[-1] not strictly above chord a-p
-                chain.pop()
-            else:
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if n <= 2:
+        return pts
+    x, y = pts[:, 0], pts[:, 1]
+
+    def cross(a, b, p):  # >= 0: b is not strictly above the chord a-p
+        return (x[b] - x[a]) * (y[p] - y[a]) - (y[b] - y[a]) * (x[p] - x[a])
+
+    i = np.arange(2, n)
+    pops = (np.flatnonzero(cross(i - 2, i - 1, i) >= 0.0) + 2).tolist() + [n]
+    x, y = x.tolist(), y.tolist()  # cross() on single rows from here on
+    chain, k, f = [0, 1], 2, 0
+    while k < n:
+        if chain[-2:] == [k - 2, k - 1]:
+            while pops[f] < k:
+                f += 1
+            chain.extend(range(k, pops[f]))
+            k = pops[f]
+            if k == n:
                 break
-        chain.append(p)
-    return chain
+        while len(chain) >= 2 and cross(chain[-2], chain[-1], k) >= 0.0:
+            chain.pop()
+        chain.append(k)
+        k += 1
+    return pts[chain]
 
 
-def frontier_value(frontier: list[tuple], x: float) -> float:
+def frontier_value(frontier, x: float) -> float:
     """Height of the frontier polyline at abscissa x (-inf beyond the end).
 
     For a single-point frontier the region is the dominated rectangle.
     """
-    if not frontier:
+    frontier = np.asarray(frontier, dtype=float)
+    if len(frontier) == 0 or x > frontier[-1, 0]:
         return -math.inf
-    if x > frontier[-1][0]:
-        return -math.inf
-    if len(frontier) == 1 or x <= frontier[0][0]:
-        return frontier[0][1]
-    i = bisect.bisect_right(frontier, x, key=operator.itemgetter(0))
+    if len(frontier) == 1 or x <= frontier[0, 0]:
+        return float(frontier[0, 1])
+    i = int(np.searchsorted(frontier[:, 0], x, side="right"))
     i = min(max(i, 1), len(frontier) - 1)
-    x0, y0 = frontier[i - 1][0], frontier[i - 1][1]
-    x1, y1 = frontier[i][0], frontier[i][1]
+    (x0, y0), (x1, y1) = frontier[i - 1 : i + 1].tolist()
     if x1 == x0:
         return max(y0, y1)
     w = (x - x0) / (x1 - x0)
     return y0 + w * (y1 - y0)
 
 
-def contains_convex(frontier: list[tuple], x: float, y: float, tol: float) -> bool:
+def contains_convex(frontier, x: float, y: float, tol: float) -> bool:
     """Is (x, y) dominated by the concave frontier polyline (within tol)?"""
+    frontier = np.asarray(frontier, dtype=float)
     if x < -tol or y < -tol:
         return False
-    if not frontier:
+    if len(frontier) == 0:
         return x <= tol and y <= tol
-    if x > frontier[-1][0] + tol:
+    end = float(frontier[-1, 0])
+    if x > end + tol:
         return False
-    bound = frontier_value(frontier, min(x, frontier[-1][0]))
-    return y <= bound + tol
+    return y <= frontier_value(frontier, min(x, end)) + tol
 
 
-def contains_staircase(corners: list[tuple], x: float, y: float, tol: float) -> bool:
+def contains_staircase(corners, x: float, y: float, tol: float) -> bool:
     """Is (x, y) inside the union of rectangles [0,cx]x[0,cy] (within tol)?"""
     if x < -tol or y < -tol:
         return False
     if x <= tol and y <= tol:
         return True
-    return any(x <= cx + tol and y <= cy + tol for cx, cy, *_ in corners)
+    c = _xy(corners)
+    return bool(np.any((x <= c[:, 0] + tol) & (y <= c[:, 1] + tol)))
 
 
-def staircase_polyline(corners: list[tuple]) -> list[tuple[float, float]]:
+def staircase_polyline(corners) -> np.ndarray:
     """Boundary polyline of a union of corner-dominated rectangles.
 
     Input: Pareto-sorted corners. Output walks (0, y1) .. (x1, y1),
     (x1, y2), (x2, y2), ... ending at (xn, 0).
     """
-    if not corners:
-        return [(0.0, 0.0)]
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    steps = zip(zip(xs, ys), zip(xs, ys[1:] + [0.0]))
-    return [(0.0, ys[0]), *itertools.chain.from_iterable(steps)]
+    c = _xy(corners)
+    if len(c) == 0:
+        return np.zeros((1, 2))
+    xs, ys = c[:, 0], c[:, 1]
+    steps = np.column_stack([xs, ys, xs, np.append(ys[1:], 0.0)]).reshape(-1, 2)
+    return np.vstack([[0.0, ys[0]], steps])
 
 
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,8 +195,9 @@ WINDOW_SCALE_MAX = 1e150
 
 
 def _xy(seq) -> np.ndarray:
-    """(n, 2) float array of the first two coordinates of each entry."""
-    return np.fromiter((p[k] for p in seq for k in (0, 1)), float).reshape(-1, 2)
+    """(n, 2) float array of the first two coordinates of each row."""
+    a = np.asarray(seq, dtype=float)
+    return a.reshape(len(a), -1)[:, :2] if len(a) else np.zeros((0, 2))
 
 
 def _segment_d2(px, py, ax, ay, vx, vy, ll):
@@ -254,41 +287,28 @@ def min_distances(points, poly) -> np.ndarray:
     return out
 
 
-def resample_polyline(
-    poly: list[tuple], samples: int, include_vertices: bool = True
-) -> list[tuple[float, float]]:
-    """`samples` points uniform in arc length, plus the vertices by default."""
-    pts = [(float(p[0]), float(p[1])) for p in poly]
+def resample_polyline(poly, samples: int, include_vertices: bool = True) -> np.ndarray:
+    """`samples` points uniform in arc length, after the vertices (by
+    default) or the two end points."""
+    pts = _xy(poly)
     if len(pts) < 2:
         return pts
-    seg_len = [
-        math.hypot(pts[i + 1][0] - pts[i][0], pts[i + 1][1] - pts[i][1])
-        for i in range(len(pts) - 1)
-    ]
-    total = sum(seg_len)
+    d = np.diff(pts, axis=0)
+    # math.hypot: np.hypot calls the C library's, which may round otherwise
+    seg = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float)
+    acc = np.concatenate([[0.0], np.cumsum(seg)])
+    total = acc[-1]
     if total == 0.0:
-        return [pts[0]]
-    out = list(pts) if include_vertices else [pts[0], pts[-1]]
-    acc = [0.0]
-    for sl in seg_len:
-        acc.append(acc[-1] + sl)
-    for k in range(1, samples):
-        target = total * k / samples
-        i = bisect.bisect_right(acc, target) - 1
-        i = min(i, len(seg_len) - 1)
-        w = (target - acc[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
-        out.append(
-            (
-                pts[i][0] + w * (pts[i + 1][0] - pts[i][0]),
-                pts[i][1] + w * (pts[i + 1][1] - pts[i][1]),
-            )
-        )
-    return out
+        return pts[:1]
+    target = total * np.arange(1, samples) / samples
+    i = np.minimum(np.searchsorted(acc, target, side="right") - 1, len(seg) - 1)
+    live = seg[i] > 0.0
+    w = np.where(live, (target - acc[i]) / np.where(live, seg[i], 1.0), 0.0)
+    head = pts if include_vertices else pts[[0, -1]]
+    return np.vstack([head, pts[i] + w[:, None] * d[i]])
 
 
-def hausdorff_distance(
-    poly_a: list[tuple], poly_b: list[tuple], samples: int = 2048
-) -> float:
+def hausdorff_distance(poly_a, poly_b, samples: int = 2048) -> float:
     """Symmetric Hausdorff distance between two polylines.
 
     Each polyline is resampled to `samples` points uniform in arc length
@@ -296,7 +316,7 @@ def hausdorff_distance(
     """
     pa = resample_polyline(poly_a, samples)
     pb = resample_polyline(poly_b, samples)
-    if not pa or not pb:
+    if len(pa) == 0 or len(pb) == 0:
         return math.inf
     d_ab = float(min_distances(pa, poly_b).max())
     d_ba = float(min_distances(pb, poly_a).max())

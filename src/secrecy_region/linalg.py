@@ -5,16 +5,14 @@ orthocomplement of span{u, w} it acts as (I, I), so its top eigenpair comes
 from a 2x2 problem on that span and depends only on a, b and the Gram data
 |u|, |w|, u^H w, whatever the antenna count. `top_rank_one_eig` solves that
 2x2 problem in closed form, vectorised over arrays of weights (a, b).
-`largest_gen_eig` keeps a generic dense route for arbitrary definite pencils.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NumericsError
+from .errors import DimensionMismatch, NumericsError
 
 #: absolute gap below which the top two eigenvalues count as degenerate
 DEGENERACY_GAP = 1e-10
@@ -22,22 +20,6 @@ DEGENERACY_GAP = 1e-10
 #: sine of the angle between u and w below which they count as parallel;
 #: for exactly parallel inputs rounding leaves a computed sine below 1e-15
 PARALLEL_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class GenEigResult:
-    """Largest generalized eigenpair of a Hermitian-definite pencil (A, B).
-
-    eigenvalue   -- the maximum lambda with A e = lambda B e (real)
-    eigenvector  -- unit-norm e, phase-fixed (see `phase_normalize`)
-    residual     -- ||(A - lambda B) e||_2
-    degenerate   -- True when the top two eigenvalues differ by < 1e-10
-    """
-
-    eigenvalue: float
-    eigenvector: np.ndarray
-    residual: float
-    degenerate: bool
 
 
 class RankOneTop(NamedTuple):
@@ -69,14 +51,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return 0.5 * (m + m.conj().T)
-
-
-def identity_plus_rank_one(t: int, scale: float, v: np.ndarray) -> np.ndarray:
-    """Build I + scale * v v^H, the Gram matrix every pencil here is made of."""
-    v = as_complex_vector(v)
-    if v.shape[0] != t:
-        raise DimensionMismatch(f"vector length {v.shape[0]} != dimension {t}")
-    return np.eye(t, dtype=complex) + scale * np.outer(v, v.conj())
 
 
 def quadratic_form(v: np.ndarray, m: np.ndarray, w: np.ndarray) -> complex:
@@ -244,29 +218,3 @@ def rank_one_residual(u, w, a: float, b: float, lam: float, e: np.ndarray) -> fl
     forming either matrix."""
     r = (1.0 - lam) * e + (a * np.vdot(u, e)) * u - (lam * b * np.vdot(w, e)) * w
     return float(np.linalg.norm(r))
-
-
-def largest_gen_eig(a: np.ndarray, b: np.ndarray) -> GenEigResult:
-    """Largest generalized eigenpair of the Hermitian-definite pencil (A, B).
-
-    A generic dense route for arbitrary pencils: LAPACK's reduction of
-    A e = lambda B e through the Cholesky factor of B. B must be Hermitian
-    positive definite. The returned eigenvector has unit 2-norm and a
-    deterministic phase. The package's own pencils use `top_rank_one_eig`.
-    """
-    import scipy.linalg  # deferred: importing SciPy costs more than the CLI start-up
-
-    a = hermitize(a)
-    b = hermitize(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"pencil shapes differ: {a.shape} vs {b.shape}")
-    try:
-        vals, vecs = scipy.linalg.eigh(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    lam = float(vals[-1])
-    degenerate = bool(len(vals) > 1 and (vals[-1] - vals[-2]) < DEGENERACY_GAP)
-    x = vecs[:, -1] / np.linalg.norm(vecs[:, -1])
-    x = phase_normalize(x)
-    residual = float(np.linalg.norm(a @ x - lam * (b @ x)))
-    return GenEigResult(lam, x, residual, degenerate)

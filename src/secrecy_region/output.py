@@ -6,7 +6,6 @@ locale-independent formatting, and files are written atomically
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -90,37 +89,24 @@ def _json_float(v: float) -> str:
     return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
 
 
-def _is_float_matrix(rows) -> bool:
-    """A non-empty sequence of equally long, non-empty lists or tuples of
-    floats, such as a frontier."""
-    return (
-        len(rows) > 0
-        and all(map(isinstance, rows, itertools.repeat((list, tuple))))
-        and len(set(map(len, rows))) == 1
-        and len(rows[0]) > 0
-        and set(map(type, itertools.chain.from_iterable(rows))) == {float}
-    )
-
-
 def _json_text(value, pad: str) -> str:
     """One value indented as json.dumps(..., indent=2) would at depth `pad`.
 
-    Floats and containers, the bulk of every payload, are written here
-    (a matrix of floats by one %-format call over a row template); other
-    scalars go through round12 and json.dumps.
+    Dispatches on type: floats, containers and numpy tables (the bulk of
+    every payload) are written here; other scalars go through round12 and
+    json.dumps.
     """
     inner = pad + "  "
     sep = "\n" + inner
     if type(value) is float:
         return _json_numbers([value])[0]
+    if isinstance(value, np.ndarray):
+        matrix = value.ndim == 2 and value.dtype.kind == "f"
+        if value.size and (value.dtype.names or matrix):
+            return _json_rows(value, pad)
+        return _json_text(value.tolist(), pad)
     if isinstance(value, (list, tuple)):
         brackets = "[]"
-        if _is_float_matrix(value):
-            slots = ("," + sep + "  ").join(["%s"] * len(value[0]))
-            row = "[" + sep + "  " + slots + sep + "]"
-            flat = _json_numbers(list(itertools.chain.from_iterable(value)))
-            body = ("," + sep).join([row] * len(value)) % tuple(flat)
-            return "[" + sep + body + "\n" + pad + "]"
         items = [_json_text(v, inner) for v in value]
     elif isinstance(value, dict):
         brackets = "{}"
@@ -137,9 +123,27 @@ def _json_text(value, pad: str) -> str:
     return brackets[0] + sep + ("," + sep).join(items) + "\n" + pad + brackets[1]
 
 
+def _json_rows(table: np.ndarray, pad: str) -> str:
+    """A 2-D float array as a list of rows, or a structured array of float
+    fields as a list of objects keyed by field name, at depth `pad`: one
+    row template, one %-format call."""
+    inner = pad + "  "
+    sep = ",\n" + inner + "  "
+    if table.dtype.names:
+        names = table.dtype.names
+        slots = [json.dumps(k).replace("%", "%%") + ": %s" for k in names]
+        flat = np.column_stack([table[k] for k in names]).ravel()
+        brackets = "{}"
+    else:
+        slots, flat, brackets = ["%s"] * table.shape[1], table.ravel(), "[]"
+    row = brackets[0] + sep[1:] + sep.join(slots) + "\n" + inner + brackets[1]
+    body = (",\n" + inner).join([row] * len(table))
+    return "[\n" + inner + body % tuple(_json_numbers(flat.tolist())) + "\n" + pad + "]"
+
+
 def boundary_csv(
     boundary: RegionBoundary,
-    beta_dists: list[float] | None = None,
+    beta_dists: np.ndarray | None = None,
     beta_hausdorff: float | None = None,
 ) -> str:
     """Swept rows, then a `# hull` sentinel section with the frontier.
@@ -149,10 +153,11 @@ def boundary_csv(
     the symmetric Hausdorff deviation.
     """
     header, row = "param,r1_bits,r2_bits", "%.12g,%.12g,%.12g"
-    rows = [(r.param, r.corner.r1, r.corner.r2) for r in boundary.points]
+    rows = [boundary.params, boundary.points]
     if beta_dists is not None:
         header, row = header + ",beta_dist", row + ",%.12g"
-        rows = [r + (d,) for r, d in zip(rows, beta_dists, strict=True)]
+        rows.append(beta_dists)
+    rows = np.column_stack(rows)
     hull = _lines("%.12g,%.12g", boundary.hull)
     text = f"{header}\n{_lines(row, rows)}# hull\n{hull}"
     if beta_hausdorff is not None:
@@ -160,14 +165,15 @@ def boundary_csv(
     return text
 
 
-def _lines(row: str, rows) -> str:
-    """One line per row by a single %-format call ("%.12g" formats as fmt)."""
-    return (row + "\n") * len(rows) % tuple(itertools.chain.from_iterable(rows))
+def _lines(row: str, rows: np.ndarray) -> str:
+    """One line per row of a 2-D array by a single %-format call ("%.12g"
+    formats as fmt)."""
+    return (row + "\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
-def _svg_path(points: list[tuple[float, float]], to_px) -> str:
+def _svg_path(points, to_px) -> str:
     """Path data `M x y L x y ...` in pixels; to_px maps coordinate arrays."""
-    if not points:
+    if len(points) == 0:
         return ""
     xy = np.asarray(points, dtype=float)
     px, py = to_px(xy[:, 0], xy[:, 1])
@@ -176,18 +182,20 @@ def _svg_path(points: list[tuple[float, float]], to_px) -> str:
 
 
 def region_svg(
-    curves: list[tuple[str, list[tuple[float, float]], str]],
+    curves: list[tuple[str, np.ndarray, str]],
     x_label: str = "user-1 rate (bits/channel use)",
     y_label: str = "user-2 rate (bits/channel use)",
 ) -> str:
     """Self-contained SVG with inline polylines, no timestamps or assets.
 
-    curves: (name, polyline, style) with style "solid" or "dashdot".
+    curves: (name, polyline, style) with style "solid" or "dashdot"; a
+    polyline is an (n, 2) array or a sequence of (x, y) pairs.
     """
     width, height = 560, 460
     margin = 60
-    x_max = max((x for _, pts, _ in curves for x, _ in pts), default=1.0)
-    y_max = max((y for _, pts, _ in curves for _, y in pts), default=1.0)
+    xy = [np.asarray(pts, dtype=float).reshape(-1, 2) for _, pts, _ in curves]
+    x_max = max((float(a[:, 0].max()) for a in xy if len(a)), default=1.0)
+    y_max = max((float(a[:, 1].max()) for a in xy if len(a)), default=1.0)
     x_max = max(x_max * 1.05, 1e-9)
     y_max = max(y_max * 1.05, 1e-9)
 

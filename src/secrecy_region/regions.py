@@ -10,6 +10,7 @@ the generating parameter of every vertex.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -31,44 +32,42 @@ class RatePair(NamedTuple):
     r2: float
 
 
-@dataclass(frozen=True)
-class RateRectangle:
-    """An achievable rectangle [0, r1] x [0, r2] and the parameter behind it."""
-
-    corner: RatePair
-    param: float
-    param_kind: str = PARAM_ALPHA
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionBoundary:
     """Swept rectangle corners plus the Pareto frontier of their hull.
 
-    points      -- swept rectangles in parameter order
-    hull        -- frontier vertices, r1 strictly increasing
-    hull_params -- generating parameter of each hull vertex
+    params      -- (n,) swept parameters, increasing
+    points      -- (n, 2) rectangle corners (r1, r2), one row per parameter
+    hull        -- (m, 2) frontier vertices, r1 strictly increasing
+    hull_params -- (m,) generating parameter of each hull vertex
     kind        -- "alpha" / "beta" sweeps are convex frontiers;
                    "outer" and "timeshare" boundaries reuse the container
     hull_union_gap -- distance from the hull to the swept corner curve
                    (how much the convex-hull operator added to the union)
     """
 
-    points: tuple[RateRectangle, ...]
-    hull: tuple[RatePair, ...]
-    hull_params: tuple[float, ...]
+    params: np.ndarray
+    points: np.ndarray
+    hull: np.ndarray
+    hull_params: np.ndarray
     kind: str = PARAM_ALPHA
     hull_union_gap: float = 0.0
 
-    def frontier(self) -> list[tuple[float, float]]:
-        return [(p.r1, p.r2) for p in self.hull]
+    def __post_init__(self):
+        # frontier() and the callers' slices are views: keep them read-only
+        for a in (self.params, self.points, self.hull, self.hull_params):
+            a.flags.writeable = False
+
+    def frontier(self) -> np.ndarray:
+        return self.hull
 
     @property
     def r1_max(self) -> float:
-        return self.hull[-1].r1 if self.hull else 0.0
+        return float(self.hull[-1, 0]) if len(self.hull) else 0.0
 
     @property
     def r2_max(self) -> float:
-        return self.hull[0].r2 if self.hull else 0.0
+        return float(self.hull[0, 1]) if len(self.hull) else 0.0
 
 
 #: weights w of the golden-section searches for argmax r1 + w * r2
@@ -224,6 +223,14 @@ def _corner_fn(ch: ChannelPair, spec: ChannelSpectrum, param_kind: str) -> Corne
     return corners
 
 
+def _cache_arrays(cache: dict[float, tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The cached parameters, increasing, and their (n, 2) corners."""
+    params = np.fromiter(cache, float, len(cache))
+    points = np.fromiter(itertools.chain.from_iterable(cache.values()), float)
+    order = np.argsort(params)
+    return params[order], points.reshape(-1, 2)[order]
+
+
 def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -> None:
     """Insert parameters until every chord is flat and short enough.
 
@@ -233,8 +240,7 @@ def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -
     order; only the `MAX_POINTS` cap, applied in parameter order within a
     level, does.
     """
-    params = np.array(sorted(cache))
-    corner = np.array([cache[v] for v in params.tolist()])
+    params, corner = _cache_arrays(cache)
     # intervals [lo, hi] in parameter order, with their end corners a, b
     lo, hi, a, b = params[:-1], params[1:], corner[:-1], corner[1:]
     for _depth in range(41):
@@ -257,74 +263,81 @@ def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -
         b = np.stack([m[s], b[s]], axis=1).reshape(-1, 2)
 
 
+def _add_corners(corners: CornerFn, cache: dict[float, tuple], values) -> None:
+    """Cache the corners of the values not cached yet, in one batched call;
+    beyond the `MAX_POINTS` cap, the values last in parameter order are
+    left out."""
+    new = sorted({v for v in values if v not in cache})
+    new = new[: max(MAX_POINTS - len(cache), 0)]
+    if new:
+        r1, r2 = corners(np.array(new))
+        cache.update(zip(new, zip(r1.tolist(), r2.tolist())))
+
+
 def _golden_refine(corners: CornerFn, cache: dict[float, tuple]) -> None:
-    """Golden-section search of argmax r1 + w*r2 for each weight."""
+    """Golden-section search of argmax r1 + w*r2 for each weight.
+
+    The searches run in lockstep: each step takes the new probe of every
+    live search and evaluates those not cached yet in one batched corner
+    call. A search depends on the others only through the `MAX_POINTS`
+    cap, which ends the searches whose probe it leaves out; below the cap
+    each visits the parameters it would visit alone.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def score(value: float, w: float) -> float:
-        if value not in cache:
-            r1, r2 = corners(np.array([value]))
-            cache[value] = (float(r1[0]), float(r2[0]))
         p = cache[value]
         return p[0] + w * p[1]
 
-    for w in REFINE_WEIGHTS:
-        lo, hi = 0.0, 1.0
-        x1 = hi - inv_phi * (hi - lo)
-        x2 = lo + inv_phi * (hi - lo)
-        f1, f2 = score(x1, w), score(x2, w)
-        for _ in range(REFINE_ITERS):
-            if hi - lo < REFINE_INTERVAL_TOL or len(cache) >= MAX_POINTS:
-                break
-            if f1 >= f2:
-                hi, x2, f2 = x2, x1, f1
+    lo, hi = 0.0, 1.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    _add_corners(corners, cache, [x1, x2])
+    # one bracket [w, lo, hi, x1, x2] per weight, both probes scored
+    live = [[w, lo, hi, x1, x2] for w in REFINE_WEIGHTS]
+    for _ in range(REFINE_ITERS):
+        live = [
+            s for s in live
+            if s[3] in cache and s[4] in cache and s[2] - s[1] >= REFINE_INTERVAL_TOL
+        ]
+        if not live or len(cache) >= MAX_POINTS:
+            return
+        for s in live:
+            w, lo, hi, x1, x2 = s
+            if score(x1, w) >= score(x2, w):
+                hi, x2 = x2, x1
                 x1 = hi - inv_phi * (hi - lo)
-                f1 = score(x1, w)
             else:
-                lo, x1, f1 = x1, x2, f2
+                lo, x1 = x1, x2
                 x2 = lo + inv_phi * (hi - lo)
-                f2 = score(x2, w)
+            s[1:] = lo, hi, x1, x2
+        _add_corners(corners, cache, [x for s in live for x in s[3:]])
 
 
-def _hull_union_gap(
-    frontier: list[tuple[float, float]], corners: list[tuple]
-) -> float:
-    """How far the hull strays from the swept corner curve.
+def _hull_union_gap(frontier: np.ndarray, curve: np.ndarray) -> float:
+    """How far the hull strays from the swept corner curve (its Pareto
+    corners).
 
     Zero (up to sweep sagitta) means the union of swept rectangles is
     already convex and the hull operator added nothing; a large value
     flags a convexification bridge over a non-concave stretch.
     """
-    if len(frontier) < 2 or len(corners) < 2:
+    if len(frontier) < 2:
         return 0.0
-    curve = geometry.pareto_corners(corners)
     samples = geometry.resample_polyline(frontier, 512, include_vertices=False)
     return float(geometry.min_distances(samples, curve).max())
 
 
 def _build_boundary(
-    rects: list[RateRectangle],
-    cap1: float,
-    cap2: float,
-    kind: str,
+    params: np.ndarray, points: np.ndarray, cap1: float, cap2: float, kind: str
 ) -> RegionBoundary:
-    tagged = [(r.corner.r1, r.corner.r2, r.param) for r in rects]
-    tagged.append((cap1, 0.0, 1.0 if kind == PARAM_ALPHA else 0.0))
-    tagged.append((0.0, cap2, 0.0 if kind == PARAM_ALPHA else 1.0))
+    t1 = 1.0 if kind == PARAM_ALPHA else 0.0  # parameter of the r1 intercept
+    ends = [[cap1, 0.0, t1], [0.0, cap2, 1.0 - t1]]
+    tagged = np.vstack([np.column_stack([points, params]), ends])
     pareto = geometry.pareto_corners(tagged)
     chain = geometry.concave_chain(pareto)
-    if not chain:
-        chain = [(0.0, 0.0, 0.0)]
-    hull = tuple(RatePair(c[0], c[1]) for c in chain)
-    hull_params = tuple(float(c[2]) for c in chain)
-    gap = _hull_union_gap([(p.r1, p.r2) for p in hull], tagged)
-    return RegionBoundary(
-        points=tuple(rects),
-        hull=hull,
-        hull_params=hull_params,
-        kind=kind,
-        hull_union_gap=gap,
-    )
+    gap = _hull_union_gap(chain[:, :2], pareto)
+    return RegionBoundary(params, points, chain[:, :2], chain[:, 2], kind, gap)
 
 
 def sweep_corners(
@@ -345,12 +358,9 @@ def sweep_corners(
 
 def _sweep(ch: ChannelPair, cfg: SweepConfig, param_kind: str) -> RegionBoundary:
     spec = spectrum(ch)
-    cache = sweep_corners(ch, spec, cfg, param_kind)
-    rects = [
-        RateRectangle(RatePair(*cache[v]), v, param_kind) for v in sorted(cache)
-    ]
+    params, points = _cache_arrays(sweep_corners(ch, spec, cfg, param_kind))
     cap1, cap2 = _intercepts(ch, spec)
-    return _build_boundary(rects, cap1, cap2, param_kind)
+    return _build_boundary(params, points, cap1, cap2, param_kind)
 
 
 def capacity_region(ch: ChannelPair, grid: SweepConfig | None = None) -> RegionBoundary:
@@ -369,11 +379,8 @@ def capacity_region_beta(
 def time_sharing_region(ch: ChannelPair) -> RegionBoundary:
     """Segment between the two single-user operating points."""
     cap1, cap2 = _intercepts(ch, spectrum(ch))
-    rects = [
-        RateRectangle(RatePair(cap1, 0.0), 0.0, "timeshare"),
-        RateRectangle(RatePair(0.0, cap2), 1.0, "timeshare"),
-    ]
-    return _build_boundary(rects, cap1, cap2, "timeshare")
+    points = np.array([[cap1, 0.0], [0.0, cap2]])
+    return _build_boundary(np.array([0.0, 1.0]), points, cap1, cap2, "timeshare")
 
 
 def region_contains(boundary: RegionBoundary, p: RatePair, tol: float = 1e-9) -> bool:
@@ -382,18 +389,18 @@ def region_contains(boundary: RegionBoundary, p: RatePair, tol: float = 1e-9) ->
     Convex boundaries use chord interpolation; the outer bound's staircase
     uses rectangle dominance (a chord would overstate that region).
     """
-    frontier = boundary.frontier()
+    r1, r2 = p
     if boundary.kind == "outer":
-        return geometry.contains_staircase(frontier, p.r1, p.r2, tol)
-    return geometry.contains_convex(frontier, p.r1, p.r2, tol)
+        return geometry.contains_staircase(boundary.hull, r1, r2, tol)
+    return geometry.contains_convex(boundary.hull, r1, r2, tol)
 
 
 def equal_rate_point(boundary: RegionBoundary) -> float:
     """Largest c with (c, c) inside the region (frontier/diagonal crossing)."""
     frontier = boundary.frontier()
-    if not frontier:
+    if len(frontier) == 0:
         return 0.0
-    hi = frontier[-1][0]
+    hi = float(frontier[-1, 0])
     if geometry.frontier_value(frontier, hi) >= hi:
         return hi
     lo = 0.0

@@ -28,8 +28,6 @@ from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
 from .errors import CovarianceInvalid, DegeneratePivot, NumericsError, RhoOnUnitCircle
 from .regions import (
     PARAM_ALPHA,
-    RatePair,
-    RateRectangle,
     RegionBoundary,
     SweepConfig,
     capacity_region,
@@ -320,20 +318,14 @@ def outer_region(
     f1 = scale * np.concatenate([ones1, _bound_values(forms1, r)])
     f2 = scale * np.concatenate([ones2, _bound_values(forms2, r)])
     tags = np.concatenate([np.full(ones1.size, math.nan), alphas])
-    keep = geometry.pareto_candidates(f1, f2)
-    pareto = geometry.pareto_corners(
-        list(zip(f1[keep].tolist(), f2[keep].tolist(), tags[keep].tolist()))
-    )
+    pareto = geometry.pareto_corners(np.column_stack([f1, f2, tags]))
     n = ones1.size
     return RegionBoundary(
-        points=tuple(
-            RateRectangle(RatePair(b1, b2), a, PARAM_ALPHA)
-            for b1, b2, a in zip(f1[n:].tolist(), f2[n:].tolist(), alphas.tolist())
-        ),
-        hull=tuple(RatePair(c[0], c[1]) for c in pareto),
-        hull_params=tuple(float(c[2]) for c in pareto),
+        params=alphas,
+        points=np.column_stack([f1[n:], f2[n:]]),
+        hull=pareto[:, :2],
+        hull_params=pareto[:, 2],
         kind="outer",
-        hull_union_gap=0.0,
     )
 
 
@@ -368,9 +360,8 @@ def audit_inner_outer(ch: ChannelPair, grids: AuditConfig | None = None) -> Audi
 
     # quadratic forms of K_X(alpha) for every swept parameter, as arrays
     # (the audit loops are vectorized over the sweep)
-    alphas = [rect.param for rect in boundary.points]
+    alphas = boundary.params
     forms1, forms2 = _kx_forms(ch, spec, alphas)
-    index = {a: i for i, a in enumerate(alphas)}
 
     def bounds_at(rho: complex, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -378,11 +369,10 @@ def audit_inner_outer(ch: ChannelPair, grids: AuditConfig | None = None) -> Audi
             _bound_values(tuple(f[idx] for f in forms2), rho),
         )
 
-    hull_idx = np.array(
-        [index[a] for a in boundary.hull_params], dtype=int
-    )
-    hull_r1 = np.array([v.r1 for v in boundary.hull])
-    hull_r2 = np.array([v.r2 for v in boundary.hull])
+    # every hull vertex is a swept corner or an intercept (alpha 0 or 1),
+    # and the sweep holds both ends
+    hull_idx = np.searchsorted(alphas, boundary.hull_params)
+    hull_r1, hull_r2 = boundary.hull[:, 0], boundary.hull[:, 1]
 
     rho_grid = _rho_grid()
     worst = math.inf
@@ -401,19 +391,14 @@ def audit_inner_outer(ch: ChannelPair, grids: AuditConfig | None = None) -> Audi
     tight_ok = rho_star is not None and abs(rho_star) <= 1.0 - RHO_GRID_EDGE
     corner_gaps: dict[str, float] = {}
     if tight_ok:
-        all_idx = np.arange(len(alphas))
-        f1, f2 = bounds_at(rho_star, all_idx)
-        r1 = np.array([rect.corner.r1 for rect in boundary.points]) / scale
-        r2 = np.array([rect.corner.r2 for rect in boundary.points]) / scale
-        gaps1 = f1 - r1
-        gaps2 = f2 - r2
+        f1, f2 = bounds_at(rho_star, np.arange(alphas.size))
+        gaps1 = f1 - boundary.points[:, 0] / scale
+        gaps2 = f2 - boundary.points[:, 1] / scale
         min_gap_f1 = float(gaps1.min())
         min_gap_f2 = float(gaps2.min())
-        for a, tag in ((0.0, "alpha0"), (1.0, "alpha1")):
-            if a in index:
-                i = index[a]
-                corner_gaps[f"{tag}_f1"] = float(gaps1[i])
-                corner_gaps[f"{tag}_f2"] = float(gaps2[i])
+        for i, tag in ((0, "alpha0"), (-1, "alpha1")):
+            corner_gaps[f"{tag}_f1"] = float(gaps1[i])
+            corner_gaps[f"{tag}_f2"] = float(gaps2[i])
     else:
         min_gap_f1 = 0.0
         min_gap_f2 = 0.0

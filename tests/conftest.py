@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from secrecy_region import ChannelPair, RatePair, sato
+from secrecy_region import ChannelPair, sato
 
 import golden
 
@@ -37,7 +37,6 @@ def inflated_hull(monkeypatch):
 
     def inflated(*args, **kwargs):
         b = sweep(*args, **kwargs)
-        hull = tuple(RatePair(1.1 * v.r1, 1.1 * v.r2) for v in b.hull)
-        return dataclasses.replace(b, hull=hull)
+        return dataclasses.replace(b, hull=1.1 * b.hull)
 
     monkeypatch.setattr(sato, "capacity_region", inflated)

@@ -222,5 +222,5 @@ def test_criterion_08_miso_intercept(example_channel):
         for ch in cases:
             boundary = capacity_region(ch, light)
             cap = miso_wiretap_capacity(ch)
-            assert cap == boundary.hull[-1].r1  # bitwise
+            assert cap == boundary.hull[-1, 0]  # bitwise
             assert cap == max_rates(ch).r1  # same formula, same bits

@@ -7,6 +7,7 @@ import sys
 
 import jsonschema
 import numpy as np
+import pytest
 
 from secrecy_region import cli, sato
 
@@ -342,3 +343,47 @@ class TestImports:
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         assert done.stdout.strip() == "[0, 0] []"
+
+
+#: one command in a fresh interpreter: whether importing the CLI built its
+#: parser, then the command's exit code, stdout and stderr
+FRESH_RUN = """
+import contextlib, io, json, sys
+from secrecy_region import cli
+built_at_import = cli._PARSER is not None
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([built_at_import, code, out.getvalue(), err.getvalue()]))
+"""
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # a leaked --grid would switch the audit to an exact grid
+            (["region", *EXAMPLE_FLAGS, "--grid", "9"], ["audit", *EXAMPLE_FLAGS]),
+            # a leaked --power default (10) would make the spectrum succeed
+            (
+                ["reproduce-fig2", "--grid", "9"],
+                ["spectrum", "--h", "1.5,0", "--g", "1.801,0.872"],
+            ),
+        ],
+    )
+    def test_second_call_matches_fresh_process(
+        self, capsys, tmp_path, monkeypatch, first, second
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *first)[0] == 0
+        parser = cli._PARSER
+        got = run(capsys, *second)
+        assert cli._PARSER is parser  # built once, by the first call
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_RUN, json.dumps(second)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True,
+        )
+        built_at_import, *fresh = json.loads(done.stdout)
+        assert not built_at_import
+        assert list(got) == fresh

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from secrecy_region import RatePair, SweepConfig, capacity_region
-from secrecy_region import output
+from secrecy_region import cli, output
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +67,46 @@ class TestDumpJson:
     def test_matches_stdlib_on_a_sweep(self, boundary):
         data = {
             "points": [
-                {"param": r.param, "r1_bits": r.corner.r1, "r2_bits": r.corner.r2}
-                for r in boundary.points
+                {"param": a, "r1_bits": r1, "r2_bits": r2}
+                for a, (r1, r2) in zip(boundary.params.tolist(), boundary.points.tolist())
             ],
-            "hull": [[p.r1, p.r2] for p in boundary.hull],
+            "hull": boundary.hull.tolist(),
         }
         ref = json.dumps(output.round12(data), indent=2) + "\n"
         assert output.dump_json(data) == ref
+
+
+    def test_cli_payload_matches_stdlib(self, boundary):
+        # the CLI payload holds a structured points table and a 2-D hull
+        # array; their text equals that of the same values as plain lists
+        payload = cli._boundary_payload(boundary)
+        points = payload["points"]
+        plain = dict(
+            payload,
+            points=[dict(zip(points.dtype.names, row)) for row in points.tolist()],
+            hull=boundary.hull.tolist(),
+        )
+        ref = json.dumps(output.round12(plain), indent=2) + "\n"
+        assert output.dump_json(payload) == ref
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([[0.1, 1.0 / 3.0], [2.0, math.inf], [1e-300, -0.0]]),
+            np.array([[1.5]]),
+            np.zeros((0, 2)),
+            np.zeros((2, 0)),
+            np.arange(6).reshape(3, 2),
+            np.array([0.25, 3.0]),
+            np.rec.fromarrays([[0.5, 1e16], [math.nan, 2.0]], names="a%s,b"),
+        ],
+    )
+    def test_arrays_match_stdlib(self, array):
+        plain = array.tolist()
+        if array.dtype.names:
+            plain = [dict(zip(array.dtype.names, row)) for row in plain]
+        ref = json.dumps(output.round12({"x": plain}), indent=2) + "\n"
+        assert output.dump_json({"x": array}) == ref
 
 
 class TestBoundaryCsv:
@@ -83,10 +116,10 @@ class TestBoundaryCsv:
         dists = [0.25 * i for i in range(len(boundary.points))]
         ref = ["param,r1_bits,r2_bits,beta_dist"]
         ref += [
-            f"{fmt(r.param)},{fmt(r.corner.r1)},{fmt(r.corner.r2)},{fmt(d)}"
-            for r, d in zip(boundary.points, dists)
+            f"{fmt(a)},{fmt(r1)},{fmt(r2)},{fmt(d)}"
+            for a, (r1, r2), d in zip(boundary.params, boundary.points, dists)
         ]
-        ref += ["# hull"] + [f"{fmt(p.r1)},{fmt(p.r2)}" for p in boundary.hull]
+        ref += ["# hull"] + [f"{fmt(r1)},{fmt(r2)}" for r1, r2 in boundary.hull]
         ref += [f"# beta_hausdorff,{fmt(3e-9)}"]
         assert output.boundary_csv(boundary, dists, 3e-9) == "\n".join(ref) + "\n"
 

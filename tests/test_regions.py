@@ -45,6 +45,36 @@ def segment_distance(p, a, b):
     return math.hypot(p[0] - (a[0] + t * vx), p[1] - (a[1] + t * vy))
 
 
+def sequential_golden(corners, cache):
+    """Golden-section search of argmax r1 + w*r2, one weight after another
+    and one corner evaluation per probe."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def score(value, w):
+        if value not in cache:
+            r1, r2 = corners(np.array([value]))
+            cache[value] = (float(r1[0]), float(r2[0]))
+        p = cache[value]
+        return p[0] + w * p[1]
+
+    for w in regions.REFINE_WEIGHTS:
+        lo, hi = 0.0, 1.0
+        x1 = hi - inv_phi * (hi - lo)
+        x2 = lo + inv_phi * (hi - lo)
+        f1, f2 = score(x1, w), score(x2, w)
+        for _ in range(regions.REFINE_ITERS):
+            if hi - lo < regions.REFINE_INTERVAL_TOL or len(cache) >= regions.MAX_POINTS:
+                break
+            if f1 >= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - inv_phi * (hi - lo)
+                f1 = score(x1, w)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + inv_phi * (hi - lo)
+                f2 = score(x2, w)
+
+
 class TestGamma1:
     def test_zero_alpha(self, example_channel):
         spec = spectrum(example_channel)
@@ -127,38 +157,38 @@ class TestCornerOps:
 
     def test_miso_equals_intercept_bitwise(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
-        assert miso_wiretap_capacity(example_channel) == b.hull[-1].r1
-        assert b.hull[-1].r2 == 0.0
+        assert miso_wiretap_capacity(example_channel) == b.hull[-1, 0]
+        assert b.hull[-1, 1] == 0.0
 
 
 class TestCapacityRegion:
     def test_identical_channels_degenerate(self):
         b = capacity_region(make([1, 0], [1, 0]), LIGHT)
-        assert b.hull == (RatePair(0.0, 0.0),)
+        assert np.array_equal(b.hull, [RatePair(0.0, 0.0)])
 
     def test_zero_eavesdropper_vector(self):
         b = capacity_region(make([1, 0], [0, 0], power=3.0), LIGHT)
-        assert b.hull == (RatePair(2.0, 0.0),)
+        assert np.array_equal(b.hull, [RatePair(2.0, 0.0)])
         assert b.r2_max == 0.0
 
     def test_hull_invariants(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
-        xs = [p.r1 for p in b.hull]
-        ys = [p.r2 for p in b.hull]
+        xs = b.hull[:, 0].tolist()
+        ys = b.hull[:, 1].tolist()
         assert all(x2 > x1 for x1, x2 in zip(xs, xs[1:]))
         assert all(y2 < y1 for y1, y2 in zip(ys, ys[1:]))
         slopes = [
             (y2 - y1) / (x2 - x1)
-            for (x1, y1), (x2, y2) in zip(b.hull, b.hull[1:])
+            for (x1, y1), (x2, y2) in zip(b.hull.tolist(), b.hull[1:].tolist())
         ]
         assert all(s2 <= s1 + 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
-        assert b.hull[0].r1 == 0.0
-        assert b.hull[-1].r2 == 0.0
+        assert b.hull[0, 0] == 0.0
+        assert b.hull[-1, 1] == 0.0
 
     def test_corners_inside_own_hull(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
-        for rect in b.points:
-            assert region_contains(b, rect.corner, tol=1e-9)
+        for corner in b.points:
+            assert region_contains(b, RatePair(*corner), tol=1e-9)
 
     def test_outside_point_rejected(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
@@ -167,11 +197,11 @@ class TestCapacityRegion:
 
     def test_hull_vertices_are_swept_corners(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
-        swept = {(r.corner.r1, r.corner.r2) for r in b.points}
+        swept = {(r1, r2) for r1, r2 in b.points.tolist()}
         swept.add((b.r1_max, 0.0))
         swept.add((0.0, b.r2_max))
-        for p in b.hull:
-            assert (p.r1, p.r2) in swept
+        for r1, r2 in b.hull.tolist():
+            assert (r1, r2) in swept
 
     def test_monotone_in_power(self):
         rng = np.random.default_rng(21)
@@ -186,8 +216,8 @@ class TestCapacityRegion:
         cfg = SweepConfig(grid_points=2, adaptive=False, refine=False)
         b = capacity_region(example_channel, cfg)
         assert len(b.points) == 2
-        assert b.hull[0] == RatePair(0.0, b.r2_max)
-        assert b.hull[-1] == RatePair(b.r1_max, 0.0)
+        assert RatePair(*b.hull[0]) == RatePair(0.0, b.r2_max)
+        assert RatePair(*b.hull[-1]) == RatePair(b.r1_max, 0.0)
 
     def test_degenerate_axis_cases(self):
         # only user 1 feasible: region is a segment on the r1 axis
@@ -195,11 +225,17 @@ class TestCapacityRegion:
         b = capacity_region(make(h, 0.5 * h), LIGHT)
         assert b.r2_max == 0.0 and b.r1_max > 0.0
 
+    def test_arrays_read_only(self, example_channel):
+        b = capacity_region(example_channel, LIGHT)
+        for a in (b.params, b.points, b.hull, b.hull_params, b.frontier()):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_deterministic(self, example_channel):
         b1 = capacity_region(example_channel, LIGHT)
         b2 = capacity_region(example_channel, LIGHT)
-        assert b1.hull == b2.hull
-        assert b1.points == b2.points
+        assert np.array_equal(b1.hull, b2.hull)
+        assert np.array_equal(b1.points, b2.points)
 
     @pytest.mark.parametrize("segment_tol", [None, 0.05])
     def test_level_order_subdivision_matches_depth_first(self, example_channel, segment_tol):
@@ -232,6 +268,51 @@ class TestCapacityRegion:
         regions._subdivide(corners, cache, cfg)
         assert len(cache) > 1000
         assert sorted(cache) == sorted(ref)
+
+    @pytest.mark.parametrize("kind", ["alpha", "beta"])
+    @pytest.mark.parametrize("channel", ["example", "t3", "t8", "identical"])
+    def test_lockstep_golden_matches_sequential(self, example_channel, kind, channel):
+        # the lockstep refinement, one batched corner call per step, visits
+        # the parameters of one golden-section search after another, with
+        # the same corners, bit for bit (identical channels: all scores tie)
+        if channel == "example":
+            ch = example_channel
+        elif channel == "identical":
+            ch = make([1, 0.5], [1, 0.5])
+        else:
+            dim = int(channel[1:])
+            rng = np.random.default_rng(70 + dim)
+            ch = make(*_oracles.random_channel(rng, dim, 10.0, "complex"))
+        corners = regions._corner_fn(ch, spectrum(ch), kind)
+        base = np.linspace(0.0, 1.0, 17)
+        r1, r2 = corners(base)
+        cache = dict(zip(base.tolist(), zip(r1.tolist(), r2.tolist())))
+        ref = dict(cache)
+        sequential_golden(corners, ref)
+        regions._golden_refine(corners, cache)
+        assert len(ref) > 17 + 30
+
+        def bits(d):
+            return np.array([(v, *d[v]) for v in sorted(d)]).view(np.uint64)
+
+        np.testing.assert_array_equal(bits(cache), bits(ref))
+
+    def test_sweep_never_exceeds_max_points(self, example_channel):
+        # subdivision fills the cap here; the refinement must not add to it
+        spec = spectrum(example_channel)
+        cache = regions.sweep_corners(
+            example_channel, spec, SweepConfig(sagitta_tol=1e-9), "alpha"
+        )
+        assert len(cache) <= regions.MAX_POINTS
+
+    @pytest.mark.parametrize("cap", [17, 18, 19, 22, 40])
+    def test_golden_refine_stops_at_max_points(self, example_channel, monkeypatch, cap):
+        # the cap keeps the parameters first in order within each step
+        monkeypatch.setattr(regions, "MAX_POINTS", cap)
+        spec = spectrum(example_channel)
+        cfg = SweepConfig(grid_points=17, adaptive=False)
+        cache = regions.sweep_corners(example_channel, spec, cfg, "alpha")
+        assert len(cache) == cap
 
     def test_hull_union_gap_small_for_example(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
@@ -267,14 +348,14 @@ class TestBetaParametrization:
 class TestTimeSharing:
     def test_segment(self):
         ts = time_sharing_region(make([1, 0], [0, 1], power=3.0))
-        assert ts.hull[0] == RatePair(0.0, 2.0)
-        assert ts.hull[-1] == RatePair(2.0, 0.0)
+        assert RatePair(*ts.hull[0]) == RatePair(0.0, 2.0)
+        assert RatePair(*ts.hull[-1]) == RatePair(2.0, 0.0)
         mid = geometry.frontier_value(ts.frontier(), 1.0)
         assert abs(mid - 1.0) <= 1e-12
 
     def test_identical_channels_point(self):
         ts = time_sharing_region(make([1, 0], [1, 0]))
-        assert ts.hull == (RatePair(0.0, 0.0),)
+        assert np.array_equal(ts.hull, [RatePair(0.0, 0.0)])
 
     def test_capacity_dominates_time_sharing(self, example_channel):
         cap = capacity_region(example_channel, LIGHT)

@@ -22,6 +22,7 @@ from secrecy_region import (
     region_contains,
     sato_f1,
     sato_f2,
+    sdpc_rates,
     spectrum,
     tightness_rho,
 )
@@ -201,7 +202,7 @@ class TestTightnessRho:
 class TestOuterRegion:
     def test_zero_power_point_region(self):
         b = outer_region(make([1, 0], [0, 1], power=0.0), 0.2)
-        assert b.hull == (RatePair(0.0, 0.0),)
+        assert np.array_equal(b.hull, [RatePair(0.0, 0.0)])
 
     def test_identical_channels_collapse_near_unit_rho(self):
         ch = make([1, 1], [1, 1])
@@ -217,7 +218,7 @@ class TestOuterRegion:
             example_channel,
             SweepConfig(grid_points=257, sagitta_tol=1e-6, refine=False),
         )
-        stairs = geometry.staircase_polyline([(p.r1, p.r2) for p in outer.hull])
+        stairs = geometry.staircase_polyline(outer.hull)
         hd = geometry.hausdorff_distance(stairs, hull.frontier())
         assert hd <= 5e-3
 
@@ -315,6 +316,25 @@ class TestAudit:
             if report.tightness_evaluated:
                 assert report.min_gap_f1 >= -1e-9
                 assert report.min_gap_f2 >= -1e-9
+
+    def test_corner_gaps_are_the_end_gaps(self):
+        # with a complex rho* the f2 gap varies along the sweep, so the
+        # corner gaps pin the sweep's two end parameters
+        rng = np.random.default_rng(59)
+        ch = make(*_oracles.random_channel(rng, 3, 10.0, "complex"))
+        cfg = AuditConfig(
+            sweep=SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False)
+        )
+        report = audit_inner_outer(ch, cfg)
+        scale = rate_scale(ch)
+        for a, tag in ((0.0, "alpha0"), (1.0, "alpha1")):
+            cov = optimal_covariances(ch, a)
+            bounds = evaluate(ch, report.rho_star, cov.total)
+            rates = sdpc_rates(ch, cov)
+            gap1 = (bounds.f1 - rates.r1) / scale
+            gap2 = (bounds.f2 - rates.r2) / scale
+            assert abs(report.corner_gaps[f"{tag}_f1"] - gap1) <= 1e-9
+            assert abs(report.corner_gaps[f"{tag}_f2"] - gap2) <= 1e-9
 
     def test_fault_injection_breaks_containment(self, example_channel, inflated_hull):
         cfg = AuditConfig(
