@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,16 @@ MODE_REAL = "real"
 FEASIBILITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelPair:
     """Channel attenuation vectors, power budget and scalar-field mode.
 
     In "real" mode the algebra still runs over the complex field; the mode
     only selects the 1/2 factor applied to reported rates (real-alphabet
     signalling carries half the degrees of freedom per channel use).
+
+    h and g are validated once and kept as read-only copies, on which the
+    span planes and the spectrum are cached. Channels compare by identity.
     """
 
     h: np.ndarray
@@ -45,8 +49,8 @@ class ChannelPair:
     mode: str = MODE_COMPLEX
 
     def __post_init__(self):
-        h = linalg.as_complex_vector(self.h)
-        g = linalg.as_complex_vector(self.g)
+        h = linalg.as_complex_vector(self.h).copy()
+        g = linalg.as_complex_vector(self.g).copy()
         if h.shape[0] != g.shape[0]:
             raise ValueError(
                 f"h and g must have the same length, got {h.shape[0]} and {g.shape[0]}"
@@ -60,6 +64,8 @@ class ChannelPair:
             raise ValueError(f"mode must be 'complex' or 'real', got {self.mode!r}")
         if self.mode == MODE_REAL and (np.any(h.imag != 0) or np.any(g.imag != 0)):
             raise ValueError("real mode requires exactly zero imaginary parts")
+        h.flags.writeable = False
+        g.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "power", power)
@@ -68,9 +74,39 @@ class ChannelPair:
     def dim(self) -> int:
         return self.h.shape[0]
 
+    @cached_property
+    def plane_hg(self) -> linalg.SpanPlane:
+        """span{h, g} with h first: the plane of user 1's pencils."""
+        return linalg.span_plane(self.h, self.g)
+
+    @cached_property
+    def plane_gh(self) -> linalg.SpanPlane:
+        """span{h, g} with g first: the plane of user 2's pencils."""
+        return linalg.span_plane(self.g, self.h)
+
+    @cached_property
+    def spectrum(self) -> "ChannelSpectrum":
+        """The pencil spectrum, solved on first use (see `spectrum`)."""
+        p = self.power
+        r1 = linalg.plane_top(self.plane_hg, p, p)
+        r2 = linalg.plane_top(self.plane_gh, p, p)
+        r1.vec.flags.writeable = False
+        r2.vec.flags.writeable = False
+        lam1, lam2 = float(r1.lam), float(r2.lam)
+        return ChannelSpectrum(
+            lambda1=lam1,
+            e1=r1.vec,
+            lambda2=lam2,
+            e2=r2.vec,
+            residual1=linalg.rank_one_residual(self.h, self.g, p, p, lam1, r1.vec),
+            residual2=linalg.rank_one_residual(self.g, self.h, p, p, lam2, r2.vec),
+            degenerate1=bool(r1.gap < linalg.DEGENERACY_GAP),
+            degenerate2=bool(r2.gap < linalg.DEGENERACY_GAP),
+        )
+
     def swapped(self) -> "ChannelPair":
         """The same channel with the two users exchanged."""
-        return ChannelPair(self.g.copy(), self.h.copy(), self.power, self.mode)
+        return ChannelPair(self.g, self.h, self.power, self.mode)
 
 
 @dataclass(frozen=True)
@@ -88,25 +124,12 @@ class ChannelSpectrum:
 
 
 def spectrum(ch: ChannelPair) -> ChannelSpectrum:
-    """Solve both pencils and return their top eigenpairs.
+    """Both pencils' top eigenpairs, solved once per channel (read-only).
 
     At P = 0 both pencils are (I, I); e1 and e2 are then the limits as
     P -> 0+, the top eigenvectors of h h^H - g g^H and g g^H - h h^H.
     """
-    p = ch.power
-    r1 = linalg.top_rank_one_eig(ch.h, ch.g, p, p)
-    r2 = linalg.top_rank_one_eig(ch.g, ch.h, p, p)
-    lam1, lam2 = float(r1.lam), float(r2.lam)
-    return ChannelSpectrum(
-        lambda1=lam1,
-        e1=r1.vec,
-        lambda2=lam2,
-        e2=r2.vec,
-        residual1=linalg.rank_one_residual(ch.h, ch.g, p, p, lam1, r1.vec),
-        residual2=linalg.rank_one_residual(ch.g, ch.h, p, p, lam2, r2.vec),
-        degenerate1=bool(r1.gap < linalg.DEGENERACY_GAP),
-        degenerate2=bool(r2.gap < linalg.DEGENERACY_GAP),
-    )
+    return ch.spectrum
 
 
 def is_secrecy_feasible(
@@ -126,17 +149,13 @@ def linear_independence_margin(ch: ChannelPair) -> float:
     """Sine of the principal angle between span{h} and span{g}.
 
     0 iff the vectors are linearly dependent (a zero vector counts as
-    dependent on anything); 1 iff they are orthogonal.
+    dependent on anything, and a sine below `linalg.PARALLEL_TOL` reads 0);
+    1 iff they are orthogonal. It is the sine s of `ch.plane_hg`.
     """
-    nh = float(np.linalg.norm(ch.h))
-    ng = float(np.linalg.norm(ch.g))
-    if nh == 0.0 and ng == 0.0:
+    plane = ch.plane_hg
+    if plane.nu == 0.0 and plane.nw == 0.0:
         raise BothZeroVectors("both h and g are zero vectors")
-    if nh == 0.0 or ng == 0.0:
-        return 0.0
-    # rejection-based sine: exact at 0, unlike sqrt(1 - cos^2)
-    resid = ch.g - ch.h * (np.vdot(ch.h, ch.g) / np.vdot(ch.h, ch.h).real)
-    return min(float(np.linalg.norm(resid)) / ng, 1.0)
+    return min(plane.s, 1.0)
 
 
 def rate_scale(ch: ChannelPair) -> float:

@@ -3,11 +3,14 @@
 Every pencil here is (I + a u u^H, I + b w w^H) with u, w in {h, g}. On the
 orthocomplement of span{u, w} it acts as (I, I), so its top eigenpair comes
 from a 2x2 problem on that span and depends only on a, b and the Gram data
-|u|, |w|, u^H w, whatever the antenna count. `top_rank_one_eig` solves that
-2x2 problem in closed form, vectorised over arrays of weights (a, b).
+|u|, |w|, u^H w, whatever the antenna count. `span_plane` reduces (u, w) to
+that data once; `plane_top` solves the 2x2 problem in closed form, for one
+pair of weights (a, b) or vectorised over arrays of them.
 """
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +84,14 @@ def phase_normalize(v: np.ndarray) -> np.ndarray:
     used, so a row comes out the same whatever the batch it sits in.
     """
     v = np.asarray(v, dtype=complex)
+    if v.ndim == 1:  # one row on NumPy scalars, with the 2-D path's bits
+        mag2 = v.real**2 + v.imag**2
+        idx = int(mag2.argmax())
+        mag = math.sqrt(mag2[idx])
+        if mag > 0.0:
+            out = v * (v[idx].conjugate() / mag)
+            out[idx] = mag
+            return out
     rows = np.atleast_2d(v)
     mag2 = rows.real**2 + rows.imag**2
     idx = np.argmax(mag2, axis=1)
@@ -113,14 +124,72 @@ def _orthogonal_unit(q: np.ndarray) -> np.ndarray:
     return p / np.linalg.norm(p)
 
 
-def top_rank_one_eig(u, w, a, b) -> RankOneTop:
-    """Top eigenpairs of the pencils (I + a u u^H, I + b w w^H).
+class SpanPlane(NamedTuple):
+    """span{u, w} as u = nu q1 and w = nw (c q1 + s q2), (q1, q2) orthonormal
+    (q2 = 0 when s = 0), plus a unit vector ortho orthogonal to q1."""
 
-    u, w are vectors of length t >= 2; a, b are nonnegative weights (scalars
-    or arrays, broadcast together). Write u = |u| q1 and w = |w| (c q1 + s q2)
-    with (q1, q2) orthonormal and s >= 0 the sine of their angle, and let
-    pa = a|u|^2, pb = b|w|^2, sigma = max(pa, pb), ra = pa/sigma and
-    rb = pb/sigma. Then mu = lambda - 1 of the top eigenvalue is sigma * m,
+    nu: float
+    nw: float
+    q1: np.ndarray
+    q2: np.ndarray
+    c: complex
+    s: float
+    ortho: np.ndarray
+
+
+def span_plane(u, w) -> SpanPlane:
+    """Validate the pencil vectors (length t >= 2) and orthonormalize them.
+
+    s is the sine of the angle between u and w, exactly 0 below
+    `PARALLEL_TOL`. A zero u takes q1 along w (e_0 when both are zero).
+    """
+    u = as_complex_vector(u)
+    w = as_complex_vector(w)
+    t = u.shape[0]
+    if w.shape[0] != t or t < 2:
+        raise DimensionMismatch(f"pencil vectors of lengths {t} and {w.shape[0]}")
+    nu, q1 = _direction(u)
+    nw, wd = _direction(w)
+    c, s = 1.0 + 0j, 0.0
+    q2 = np.zeros(t, dtype=complex)
+    if q1 is None:
+        q1 = wd if wd is not None else np.eye(t, dtype=complex)[0]
+    elif wd is not None:
+        c = complex(np.vdot(q1, wd))
+        rest = wd - c * q1
+        s = float(np.linalg.norm(rest))
+        if s > PARALLEL_TOL:
+            q2 = rest / s
+        else:
+            s = 0.0
+    ortho = _orthogonal_unit(q1)
+    for v in (q1, q2, ortho):
+        v.flags.writeable = False
+    return SpanPlane(nu, nw, q1, q2, c, s, ortho)
+
+
+#: what `plane_top` calls NumPy for, on one pair of float weights: the same
+#: IEEE operations (maximum propagates NaN like np.maximum), no size-1 arrays
+_FLOAT_OPS = SimpleNamespace(
+    all=bool,
+    any=bool,
+    isfinite=math.isfinite,
+    sqrt=math.sqrt,
+    maximum=lambda x, y: x if x >= y or x != x else y,
+    where=lambda cond, x, y: x if cond else y,
+)
+
+
+def top_rank_one_eig(u, w, a, b) -> RankOneTop:
+    """Top eigenpairs of (I + a u u^H, I + b w w^H); see `plane_top`."""
+    return plane_top(span_plane(u, w), a, b)
+
+
+def plane_top(plane: SpanPlane, a, b) -> RankOneTop:
+    """Top eigenpairs of (I + a u u^H, I + b w w^H) from the plane of (u, w).
+
+    With pa = a|u|^2, pb = b|w|^2, sigma = max(pa, pb), ra = pa/sigma and
+    rb = pb/sigma, mu = lambda - 1 of the top eigenvalue is sigma * m,
     where m is the top eigenvalue of the 2x2 Hermitian matrix
 
         N = ra q1 q1^H - lambda rb (c q1 + s q2)(c q1 + s q2)^H,
@@ -138,76 +207,74 @@ def top_rank_one_eig(u, w, a, b) -> RankOneTop:
     u u^H - w w^H on span{u, w}. When the top eigenvalue is the
     orthocomplement's 1 (parallel u, w with pa < pb, or u = 0) the returned
     vector is orthogonal to the common direction.
-    """
-    u = as_complex_vector(u)
-    w = as_complex_vector(w)
-    t = u.shape[0]
-    if w.shape[0] != t or t < 2:
-        raise DimensionMismatch(f"pencil vectors of lengths {t} and {w.shape[0]}")
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape = a.shape
-    a = a.ravel()
-    b = b.ravel()
-    if np.any(a < 0.0) or np.any(b < 0.0):
-        raise ValueError("pencil weights must be nonnegative")
 
-    nu, q1 = _direction(u)
-    nw, wd = _direction(w)
-    c, s = 1.0 + 0j, 0.0
-    q2 = np.zeros(t, dtype=complex)
-    if q1 is None:
-        q1 = wd if wd is not None else np.eye(t, dtype=complex)[0]
-    elif wd is not None:
-        c = complex(np.vdot(q1, wd))
-        rest = wd - c * q1
-        s = float(np.linalg.norm(rest))
-        if s > PARALLEL_TOL:
-            q2 = rest / s
-        else:
-            s = 0.0
+    The weights a, b >= 0 are scalars or arrays, broadcast together. Two
+    0-d weights run the same operations on Python floats and NumPy complex
+    scalars (`_FLOAT_OPS`), with the bits of an array of weights.
+    """
+    nu, nw, q1, q2, c, s, ortho = plane
+    t = q1.shape[0]
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    if scalar:
+        xp, a, b = _FLOAT_OPS, float(a), float(b)
+    else:
+        xp = np
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        shape = a.shape
+        a, b = a.ravel(), b.ravel()
+    if xp.any((a < 0.0) | (b < 0.0)):
+        raise ValueError("pencil weights must be nonnegative")
 
     pa = a * nu**2
     pb = b * nw**2
-    sigma = np.maximum(pa, pb)
-    if not np.all(np.isfinite(sigma)):
+    sigma = xp.maximum(pa, pb)
+    if not xp.all(xp.isfinite(sigma)):
         raise NumericsError("pencil weight overflows")
     live = sigma > 0.0
-    safe = np.where(live, sigma, 1.0)
+    safe = xp.where(live, sigma, 1.0)
     # a = b = 0: the limit along a = b -> 0+ weighs the two sides |u|^2 : |w|^2
     top_norm = max(nu, nw) ** 2 or 1.0
-    ra = np.where(live, pa / safe, nu**2 / top_norm)
-    rb = np.where(live, pb / safe, nw**2 / top_norm)
+    ra = xp.where(live, pa / safe, nu**2 / top_norm)
+    rb = xp.where(live, pb / safe, nw**2 / top_norm)
 
     s2 = s * s
     d = ra * rb * s2
     lin = ra - rb + sigma * d
     quad = 1.0 + pb
-    # root = sqrt(lin^2 + 4 quad d) without overflow, by correctly rounded ops
-    other = 2.0 * np.sqrt(quad) * np.sqrt(d)
-    big = np.maximum(np.abs(lin), other)
-    big_safe = np.where(big > 0.0, big, 1.0)
-    root = big * np.sqrt((lin / big_safe) ** 2 + (other / big_safe) ** 2)
-    m = np.where(
+    # root = sqrt(lin^2 + 4 quad d) without overflow, by correctly rounded
+    # ops; squares as x * x, which Python's x ** 2 (C pow) is not always
+    other = 2.0 * xp.sqrt(quad) * xp.sqrt(d)
+    big = xp.maximum(abs(lin), other)
+    big_safe = xp.where(big > 0.0, big, 1.0)
+    x, y = lin / big_safe, other / big_safe
+    root = big * xp.sqrt(x * x + y * y)
+    m = xp.where(
         lin >= 0.0,
         (lin + root) / (2.0 * quad),
-        2.0 * d / np.where(root - lin > 0.0, root - lin, 1.0),
+        2.0 * d / xp.where(root - lin > 0.0, root - lin, 1.0),
     )
     lam = 1.0 + sigma * m
     gap = sigma * (root / quad if t == 2 else m)
 
+    # x1 is complex: NumPy's complex division, not Python's, on a scalar too
     x0 = m + lam * rb * s2
     x1 = -(lam * rb * s) * np.conj(c)
-    scale = np.maximum(x0, np.maximum(np.abs(x1.real), np.abs(x1.imag)))
-    scale_safe = np.where(scale > 0.0, scale, 1.0)
+    scale = xp.maximum(x0, xp.maximum(abs(x1.real), abs(x1.imag)))
+    scale_safe = xp.where(scale > 0.0, scale, 1.0)
     x0 = x0 / scale_safe
     x1 = x1 / scale_safe
-    norm = np.sqrt(x0 * x0 + x1.real**2 + x1.imag**2)
-    norm = np.where(norm > 0.0, norm, 1.0)
-    vec = (x0 / norm)[:, None] * q1 + (x1 / norm)[:, None] * q2
+    norm = xp.sqrt(x0 * x0 + x1.real * x1.real + x1.imag * x1.imag)
+    norm = xp.where(norm > 0.0, norm, 1.0)
+    x0 = x0 / norm
+    x1 = x1 / norm
     # no null vector on the span: a tie keeps q1, else the top is orthogonal
+    if scalar:
+        vec = (ortho if lin < 0.0 else q1) if scale == 0.0 else x0 * q1 + x1 * q2
+        return RankOneTop(np.float64(lam), phase_normalize(vec), np.float64(gap))
+    vec = x0[:, None] * q1 + x1[:, None] * q2
     empty = scale == 0.0
     if np.any(empty):
-        fallback = np.where((lin < 0.0)[:, None], _orthogonal_unit(q1), q1)
+        fallback = np.where((lin < 0.0)[:, None], ortho, q1)
         vec = np.where(empty[:, None], fallback, vec)
     vec = phase_normalize(vec)
     return RankOneTop(lam.reshape(shape), vec.reshape(shape + (t,)), gap.reshape(shape))

@@ -147,7 +147,7 @@ def gamma2(ch: ChannelPair, spec: ChannelSpectrum, alpha):
     s_g, s_h = _split_weights(
         ch, abs(np.vdot(ch.g, spec.e1)) ** 2, abs(np.vdot(ch.h, spec.e1)) ** 2, a
     )
-    res = linalg.top_rank_one_eig(ch.g, ch.h, s_g, s_h)
+    res = linalg.plane_top(ch.plane_gh, s_g, s_h)
     return (float(res.lam), res.vec) if np.ndim(a) == 0 else (res.lam, res.vec)
 
 
@@ -169,7 +169,7 @@ def xi1(ch: ChannelPair, spec: ChannelSpectrum, beta):
     s_h, s_g = _split_weights(
         ch, abs(np.vdot(ch.h, spec.e2)) ** 2, abs(np.vdot(ch.g, spec.e2)) ** 2, b
     )
-    res = linalg.top_rank_one_eig(ch.h, ch.g, s_h, s_g)
+    res = linalg.plane_top(ch.plane_hg, s_h, s_g)
     return (float(res.lam), res.vec) if np.ndim(b) == 0 else (res.lam, res.vec)
 
 

@@ -188,20 +188,15 @@ def _f_raw(
     return float(_bound_values(forms, rho)), (cross + rho) / (other + 1.0)
 
 
-def _forms_f1(ch: ChannelPair, k: np.ndarray) -> tuple[float, float, complex]:
-    return (
-        linalg.quadratic_form(ch.h, k, ch.h).real,
-        linalg.quadratic_form(ch.g, k, ch.g).real,
-        complex(linalg.quadratic_form(ch.g, k, ch.h)),
-    )
-
-
-def _forms_f2(ch: ChannelPair, k: np.ndarray) -> tuple[float, float, complex]:
-    return (
-        linalg.quadratic_form(ch.g, k, ch.g).real,
-        linalg.quadratic_form(ch.h, k, ch.h).real,
-        complex(linalg.quadratic_form(ch.h, k, ch.g)),
-    )
+def _forms(ch: ChannelPair, k: np.ndarray) -> tuple[tuple, tuple]:
+    """The forms of a checked K for f1 and f2, from K h and K g; for h = g
+    the cross forms are the real self form, as in `linalg.quadratic_form`."""
+    kh, kg = k @ ch.h, k @ ch.g
+    hh = float(np.vdot(ch.h, kh).real)
+    gg = float(np.vdot(ch.g, kg).real)
+    if np.array_equal(ch.h, ch.g):
+        return (hh, gg, complex(hh)), (gg, hh, complex(gg))
+    return (hh, gg, complex(np.vdot(ch.g, kh))), (gg, hh, complex(np.vdot(ch.h, kg)))
 
 
 def sato_f1(
@@ -210,7 +205,7 @@ def sato_f1(
     """User 1's outer bound (scaled to reported-rate units) and nu*."""
     r = _check_rho(rho)
     k = _check_kx(ch, k_x)
-    value, nu = _f_raw(_forms_f1(ch, k), r)
+    value, nu = _f_raw(_forms(ch, k)[0], r)
     return rate_scale(ch) * value, nu
 
 
@@ -220,7 +215,7 @@ def sato_f2(
     """User 2's outer bound (scaled to reported-rate units) and mu*."""
     r = _check_rho(rho)
     k = _check_kx(ch, k_x)
-    value, mu = _f_raw(_forms_f2(ch, k), r)
+    value, mu = _f_raw(_forms(ch, k)[1], r)
     return rate_scale(ch) * value, mu
 
 
@@ -229,8 +224,9 @@ def evaluate(ch: ChannelPair, rho: complex, k_x: np.ndarray) -> SatoEvaluation:
     r = _check_rho(rho)
     k = _check_kx(ch, k_x)
     scale = rate_scale(ch)
-    f1, nu = _f_raw(_forms_f1(ch, k), r)
-    f2, mu = _f_raw(_forms_f2(ch, k), r)
+    forms1, forms2 = _forms(ch, k)
+    f1, nu = _f_raw(forms1, r)
+    f2, mu = _f_raw(forms2, r)
     return SatoEvaluation(r, k, scale * f1, scale * f2, nu, mu)
 
 
@@ -256,13 +252,10 @@ def _rank_one_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (f1, f2) over the full-power rank-one family on
     span{h, g}, in raw log2 units (see CovSearchConfig)."""
-    # coordinates of h and g in an orthonormal basis of a plane holding
-    # both; rows rescaled to a real nonnegative diagonal, so that they
-    # depend only on the Gram data
-    r = np.linalg.qr(np.stack([ch.h, ch.g], axis=1).astype(complex), mode="r")
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    r = (np.abs(d) / d)[:, None] * r
+    # columns: coordinates of h and g in the orthonormal basis (q1, q2) of
+    # the channel's span plane, which depend only on the Gram data
+    nu, nw, _, _, c, s, _ = ch.plane_hg
+    r = np.array([[nu, nw * c], [0.0, nw * s]])
     theta = np.linspace(0.0, 0.5 * math.pi, cfg.angles)
     phi = np.linspace(0.0, 2.0 * math.pi, cfg.phases, endpoint=False)
     th, ph = np.meshgrid(theta, phi, indexing="ij")

@@ -13,9 +13,16 @@ from secrecy_region import (
     is_secrecy_feasible,
     linear_independence_margin,
     max_rates,
+    optimal_covariances,
     rate_scale,
+    sato_f1,
+    sato_f2,
+    sdpc_rates,
     spectrum,
+    tightness_rho,
+    verify_identity_eq9,
 )
+from secrecy_region import linalg
 
 import _oracles
 import golden
@@ -51,6 +58,50 @@ class TestChannelPair:
         sw = ch.swapped()
         np.testing.assert_array_equal(sw.h, ch.g)
         np.testing.assert_array_equal(sw.g, ch.h)
+
+    def test_keeps_read_only_copies(self, example_channel):
+        h = np.array(golden.EXAMPLE_H, dtype=complex)
+        g = np.array(golden.EXAMPLE_G_TEXT, dtype=complex)
+        ch = ChannelPair(h, g, golden.EXAMPLE_POWER, "real")
+        h[0] = 0.1
+        g[1] = 0.0
+        assert np.array_equal(ch.h, golden.EXAMPLE_H)
+        assert np.array_equal(ch.g, golden.EXAMPLE_G_TEXT)
+        assert spectrum(ch).lambda1 == spectrum(example_channel).lambda1
+        assert not ch.h.flags.writeable and not ch.g.flags.writeable
+        with pytest.raises(ValueError):
+            ch.h[0] = 0.1
+
+    def test_compares_by_identity(self):
+        a, b = make([1, 0], [0, 1]), make([1, 0], [0, 1])
+        assert a == a
+        assert a != b
+
+    def test_gram_work_runs_once(self, monkeypatch):
+        # the fading-ensemble op's calls on one channel build its two span
+        # planes once and solve its spectrum once
+        builds = []
+        span_plane = linalg.span_plane
+
+        def counted(u, w):
+            builds.append(1)
+            return span_plane(u, w)
+
+        monkeypatch.setattr(linalg, "span_plane", counted)
+        ch = make(*_oracles.random_channel(np.random.default_rng(8), 4, 10.0, "complex"))
+        spec = spectrum(ch)
+        is_secrecy_feasible(ch)
+        max_rates(ch)
+        rho = tightness_rho(spec, ch.h, ch.g)
+        for a in (0.25, 0.5, 0.75):
+            cov = optimal_covariances(ch, a, spec)
+            sdpc_rates(ch, cov)
+            verify_identity_eq9(ch, a, spec)
+            sato_f1(ch, rho, cov.total)
+            sato_f2(ch, rho, cov.total)
+        assert len(builds) == 2
+        assert spectrum(ch) is spec
+        assert not spec.e1.flags.writeable and not spec.e2.flags.writeable
 
 
 class TestSpectrum:
@@ -146,6 +197,13 @@ class TestIndependenceMargin:
     def test_both_zero_raises(self):
         with pytest.raises(BothZeroVectors):
             linear_independence_margin(make([0, 0], [0, 0]))
+
+    def test_orthogonal_pairs_stay_at_one(self):
+        # the plane's sine of an orthogonal pair can round to 1 + 2^-52
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+            assert linear_independence_margin(make(q[:, 0], 3.0 * q[:, 1])) <= 1.0
 
 
 class TestRateScale:

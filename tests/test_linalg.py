@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from secrecy_region import linalg
-from secrecy_region.errors import DimensionMismatch
+from secrecy_region.errors import DimensionMismatch, NumericsError
 
 import _oracles
 
@@ -75,6 +75,18 @@ class TestPhaseNormalize:
         v = np.array([-1.0, 1.0]) / np.sqrt(2)
         w = linalg.phase_normalize(v + 0j)
         assert w[0].real > 0
+
+    def test_row_matches_batch_bitwise(self):
+        # a 1-D vector takes the scalar route; it must give the row's bits
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+        rows[1] = 0.0
+        rows[2] = rows[2, 0]
+        rows[3] = rows[3].real
+        rows[4, 2] = 0.0
+        batch = linalg.phase_normalize(rows)
+        for row, want in zip(rows, batch):
+            assert linalg.phase_normalize(row).tobytes() == want.tobytes()
 
 
 #: powers the rank-one kernel is stressed at, from the P = 0 limit to 1e12
@@ -246,6 +258,38 @@ class TestTopRankOneEig:
             assert one.lam == batch.lam[i]
             assert np.array_equal(one.vec, batch.vec[i])
 
+    @pytest.mark.parametrize("t", [2, 3, 8])
+    def test_scalar_path_matches_batch_bitwise(self, t):
+        # two 0-d weights run the 2x2 arithmetic on floats; lambda, gap and
+        # the vector must carry the bits of the same weights in an array,
+        # from 1e-13 to 1e12, at exact zeros and for parallel or zero vectors
+        rng = np.random.default_rng(190 + t)
+        h, g = random_pair(rng, t)
+        zero = np.zeros(t)
+        pairs = [
+            (h, g), (g, h), (h, h), (h, 0.5 * h), (h, 2.0 * h), (h, 1j * h),
+            (h, -0.5j * h), (h, zero), (zero, h), (zero, zero),
+        ]
+        a = 10.0 ** rng.uniform(-13.0, 12.0, 48)
+        b = 10.0 ** rng.uniform(-13.0, 12.0, 48)
+        a[:3] = 0.0  # a = b = 0, then a single zero weight each way
+        b[[0, 3]] = 0.0
+        for u, w in pairs:
+            plane = linalg.span_plane(u, w)
+            batch = linalg.plane_top(plane, a, b)
+            for i in range(a.size):
+                one = linalg.plane_top(plane, a[i], b[i])
+                assert one.lam.tobytes() == batch.lam[i].tobytes()
+                assert one.gap.tobytes() == batch.gap[i].tobytes()
+                assert one.vec.tobytes() == batch.vec[i].tobytes()
+
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             linalg.top_rank_one_eig(np.ones(2), np.ones(2), -1.0, 1.0)
+
+    def test_nan_weight_raises_on_both_paths(self):
+        plane = linalg.span_plane(np.ones(2), np.array([1.0, 0.0]))
+        for a, b in ((np.nan, 1.0), (1.0, np.nan)):
+            for x, y in ((a, b), (np.array([a]), np.array([b]))):
+                with pytest.raises(NumericsError):
+                    linalg.plane_top(plane, x, y)

@@ -121,6 +121,21 @@ class TestGamma2:
         assert val == spec.lambda2
         assert np.array_equal(vec, spec.e2)
 
+    @pytest.mark.parametrize("channel", ["example", "t8"])
+    def test_scalar_matches_batch_bitwise(self, example_channel, channel):
+        # one split at a time takes the kernel's float path
+        ch = example_channel
+        if channel == "t8":
+            ch = make(*_oracles.random_channel(np.random.default_rng(78), 8, 10.0, "complex"))
+        spec = spectrum(ch)
+        grid = np.linspace(0.0, 1.0, 33)
+        for fn in (gamma2, xi1):
+            lam, vec = fn(ch, spec, grid)
+            for i, x in enumerate(grid.tolist()):
+                one, one_vec = fn(ch, spec, x)
+                assert np.float64(one).tobytes() == lam[i].tobytes()
+                assert one_vec.tobytes() == vec[i].tobytes()
+
     def test_half_alpha_matches_golden_and_oracle(self, example_channel):
         spec = spectrum(example_channel)
         val, _ = gamma2(example_channel, spec, 0.5)

@@ -26,7 +26,7 @@ from secrecy_region import (
     spectrum,
     tightness_rho,
 )
-from secrecy_region import geometry, sato
+from secrecy_region import geometry, linalg, sato
 from secrecy_region.sato import evaluate
 
 import _oracles
@@ -160,6 +160,21 @@ class TestClosedForm:
             val, _ = sato_f1(ch, rho, k)
             ref = _oracles.sato_objective_grid_min(h, g, k, rho)
             assert abs(val - ref) <= 1e-6
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_forms_match_quadratic_forms(self, same):
+        # K h and K g give the forms quadratic_form gives, self forms real
+        rng = np.random.default_rng(55)
+        h, g, p = _oracles.random_channel(rng, 3, 10.0, "complex")
+        ch = make(h, h if same else g, p)
+        qf = linalg.quadratic_form
+        for _ in range(5):
+            k = sato._check_kx(ch, _oracles.random_psd(rng, 3, p))
+            hh, gg = qf(ch.h, k, ch.h).real, qf(ch.g, k, ch.g).real
+            assert sato._forms(ch, k) == (
+                (hh, gg, complex(qf(ch.g, k, ch.h))),
+                (gg, hh, complex(qf(ch.h, k, ch.g))),
+            )
 
 
 class TestTightnessRho:
