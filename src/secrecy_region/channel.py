@@ -109,7 +109,7 @@ class ChannelPair:
         return ChannelPair(self.g, self.h, self.power, self.mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpectrum:
     """Largest generalized eigenpairs of the two user pencils."""
 

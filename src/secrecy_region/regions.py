@@ -107,6 +107,10 @@ class SweepConfig:
 def _check_param(value, name: str):
     """A parameter (scalar or array) checked against [0, 1]; scalars come
     back as float, arrays as float arrays."""
+    if type(value) is float:
+        if 0.0 <= value <= 1.0:
+            return value
+        raise ParamOutOfRange(f"{name} must lie in [0, 1], got {value}")
     v = np.asarray(value, dtype=float)
     inside = (v >= 0.0) & (v <= 1.0)
     if not np.all(inside):

@@ -43,7 +43,7 @@ RHO_EDGE = 1e-9
 RHO_GRID_EDGE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SatoEvaluation:
     """Both rate bounds for one (rho, K_X), with their minimizers."""
 

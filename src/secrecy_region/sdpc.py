@@ -10,11 +10,13 @@ the scheme achieves the rectangle
 The boundary-achieving choice is rank-one: K_U1 = aP e1 e1^H along the
 pencil eigenvector, K_U2 = (1-a)P c2 c2^H along the eigenvector returned
 with gamma2(a). With that choice the r2 bound collapses to log2 gamma2(a)
-(an algebraic identity this module can verify directly).
+(an algebraic identity this module can verify directly). Such a pair keeps
+the two factors (weight, vector) and evaluates rates and checks from them;
+its dense matrices are built only when asked for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,86 +31,68 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-class RankOneCovariance(np.ndarray):
-    """The matrix weight * v v^H (unit v) that keeps its factor (weight, v).
-
-    The boundary-achieving covariances are rank one. Their quadratic forms
-    x^H K y = weight (x^H v)(v^H y) are exact from the factor, while the
-    rounded dense entries carry an error of about eps * weight |x| |y|: at
-    high power that swamps forms such as g^H K_U1 g, which are small by
-    design. The matrix is read-only, and arithmetic on it, views of it and
-    copies of it are plain dense matrices.
-    """
-
-    def __new__(cls, weight: float, vector: np.ndarray):
-        v = np.asarray(vector, dtype=complex)
-        obj = (weight * np.outer(v, v.conj())).view(cls)
-        obj.flags.writeable = False
-        obj.factor = (float(weight), v)
-        return obj
-
-    def __array_finalize__(self, obj):
-        self.factor = None
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [
-            x.view(np.ndarray) if isinstance(x, RankOneCovariance) else x for x in inputs
-        ]
-        return getattr(ufunc, method)(*plain, **kwargs)
+def _read_only(k: np.ndarray) -> np.ndarray:
+    k.flags.writeable = False
+    return k
 
 
-def _factor(k: np.ndarray) -> tuple[float, np.ndarray] | None:
-    return getattr(k, "factor", None)
-
-
-def _form(x: np.ndarray, k: np.ndarray, y: np.ndarray) -> complex:
-    """x^H K y, from the factor when K keeps one."""
-    factor = _factor(k)
-    if factor is None:
-        return linalg.quadratic_form(x, k, y)
-    weight, v = factor
-    return weight * complex(np.vdot(x, v)) * complex(np.vdot(v, y))
-
-
-def _trace(k: np.ndarray) -> float:
-    factor = _factor(k)
-    return factor[0] if factor is not None else float(np.trace(k).real)
-
-
-@dataclass(frozen=True)
 class CovariancePair:
     """Hermitian PSD covariances for the two auxiliary codebooks.
 
-    Either matrix may be a `RankOneCovariance` (as `optimal_covariances`
-    builds them); rates and checks then use its factor. Dense matrices are
-    hermitized and used as given.
+    A pair built from two matrices hermitizes them and uses them as given.
+    `optimal_covariances` builds its pairs from the rank-one factors
+    (weight, unit v) of K = weight v v^H instead: their traces, PSD checks
+    and quadratic forms x^H K x = weight |v^H x|^2 come from the factors,
+    which stays exact at high power, where the rounding error of a dense
+    entry, about eps * weight, swamps forms such as g^H K_U1 g that are
+    small by design. `k_u1`, `k_u2` and `total` are read-only; a factored
+    pair builds them on first access. Pairs compare by identity.
     """
 
-    k_u1: np.ndarray
-    k_u2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("k_u1", "k_u2"):
-            k = getattr(self, name)
-            if _factor(k) is None:
-                object.__setattr__(self, name, linalg.hermitize(k))
-        if self.k_u1.shape != self.k_u2.shape:
+    def __init__(self, k_u1: np.ndarray, k_u2: np.ndarray):
+        k_u1, k_u2 = linalg.hermitize(k_u1), linalg.hermitize(k_u2)
+        if k_u1.shape != k_u2.shape:
             raise CovarianceInvalid(
-                f"covariance shapes differ: {self.k_u1.shape} vs {self.k_u2.shape}"
+                f"covariance shapes differ: {k_u1.shape} vs {k_u2.shape}"
             )
+        self.__dict__.update(k_u1=_read_only(k_u1), k_u2=_read_only(k_u2), _factors=None)
 
-    @property
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CovariancePair is read-only: cannot set {name!r}")
+
+    def _dense(self, index: int) -> np.ndarray:
+        weight, v = self._factors[index]
+        return _read_only(weight * np.outer(v, v.conj()))
+
+    @cached_property
+    def k_u1(self) -> np.ndarray:
+        return self._dense(0)
+
+    @cached_property
+    def k_u2(self) -> np.ndarray:
+        return self._dense(1)
+
+    @cached_property
     def total(self) -> np.ndarray:
-        return self.k_u1 + self.k_u2
+        return _read_only(self.k_u1 + self.k_u2)
+
+    def _traces(self) -> tuple[float, float]:
+        if self._factors is None:
+            return float(np.trace(self.k_u1).real), float(np.trace(self.k_u2).real)
+        return self._factors[0][0], self._factors[1][0]
 
     @property
     def trace(self) -> float:
-        return _trace(self.k_u1) + _trace(self.k_u2)
+        return sum(self._traces())
 
     def forms(self, x: np.ndarray) -> tuple[float, float]:
         """(x^H K_U1 x, x^H (K_U1 + K_U2) x)."""
-        own = _form(x, self.k_u1, x).real
-        return own, own + _form(x, self.k_u2, x).real
+        if self._factors is None:
+            own = linalg.quadratic_form(x, self.k_u1, x).real
+            return own, own + linalg.quadratic_form(x, self.k_u2, x).real
+        (w1, v1), (w2, v2) = self._factors
+        own = (w1 * complex(np.vdot(x, v1)) * complex(np.vdot(v1, x))).real
+        return own, own + (w2 * complex(np.vdot(x, v2)) * complex(np.vdot(v2, x))).real
 
 
 def validate_covariances(ch: ChannelPair, cov: CovariancePair) -> None:
@@ -116,14 +100,18 @@ def validate_covariances(ch: ChannelPair, cov: CovariancePair) -> None:
 
     A rank-one factor is PSD by construction when its weight is >= 0.
     """
-    if cov.k_u1.shape[0] != ch.dim:
+    factors = cov._factors
+    dim = cov.k_u1.shape[0] if factors is None else factors[0][1].shape[0]
+    if dim != ch.dim:
         raise CovarianceInvalid(
-            f"covariance dimension {cov.k_u1.shape[0]} != channel dimension {ch.dim}"
+            f"covariance dimension {dim} != channel dimension {ch.dim}"
         )
-    for name, k in (("k_u1", cov.k_u1), ("k_u2", cov.k_u2)):
-        factor = _factor(k)
-        low = factor[0] if factor is not None else float(np.linalg.eigvalsh(k)[0])
-        if low < -PSD_TOL * max(1.0, _trace(k)):
+    traces = cov._traces()
+    lows = traces if factors is not None else [
+        float(np.linalg.eigvalsh(k)[0]) for k in (cov.k_u1, cov.k_u2)
+    ]
+    for name, low, trace in zip(("k_u1", "k_u2"), lows, traces):
+        if low < -PSD_TOL * max(1.0, trace):
             raise CovarianceInvalid(f"{name} has eigenvalue {low:.3e} < 0")
     if cov.trace > ch.power + TRACE_TOL * max(1.0, ch.power):
         raise CovarianceInvalid(
@@ -154,9 +142,10 @@ def sdpc_rates(ch: ChannelPair, cov: CovariancePair) -> RatePair:
 def _boundary_pair(
     ch: ChannelPair, a: float, e1: np.ndarray, c2: np.ndarray
 ) -> CovariancePair:
-    return CovariancePair(
-        RankOneCovariance(a * ch.power, e1), RankOneCovariance((1.0 - a) * ch.power, c2)
-    )
+    """The pair K_U1 = aP e1 e1^H, K_U2 = (1-a)P c2 c2^H, kept as its factors."""
+    pair = CovariancePair.__new__(CovariancePair)
+    pair.__dict__["_factors"] = ((a * ch.power, e1), ((1.0 - a) * ch.power, c2))
+    return pair
 
 
 def optimal_covariances(
@@ -164,9 +153,8 @@ def optimal_covariances(
 ) -> CovariancePair:
     """Boundary-achieving rank-one pair for a given split alpha.
 
-    K_U1 = alpha P e1 e1^H and K_U2 = (1-alpha) P c2 c2^H, kept as
-    `RankOneCovariance` factors, so tr(K_U1) = alpha*P and
-    tr(K_U2) = (1-alpha)*P exactly.
+    K_U1 = alpha P e1 e1^H and K_U2 = (1-alpha) P c2 c2^H, kept as their
+    factors, so tr(K_U1) = alpha*P and tr(K_U2) = (1-alpha)*P exactly.
     """
     a = _check_param(alpha, "alpha")
     spec = spec or spectrum(ch)

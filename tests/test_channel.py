@@ -8,6 +8,7 @@ import pytest
 from secrecy_region import (
     BothZeroVectors,
     ChannelPair,
+    CovariancePair,
     channel_from_dict,
     channel_to_dict,
     is_secrecy_feasible,
@@ -103,8 +104,38 @@ class TestChannelPair:
         assert spectrum(ch) is spec
         assert not spec.e1.flags.writeable and not spec.e2.flags.writeable
 
+    def test_point_api_builds_no_dense_covariance(self, monkeypatch):
+        # the fading-ensemble op's sdpc calls work on the covariance
+        # factors; sato's dense K = cov.total is built once per pair
+        builds = []
+        dense = CovariancePair._dense
+
+        def counted(cov, index):
+            builds.append(index)
+            return dense(cov, index)
+
+        monkeypatch.setattr(CovariancePair, "_dense", counted)
+        ch = make(*_oracles.random_channel(np.random.default_rng(8), 4, 10.0, "complex"))
+        spec = spectrum(ch)
+        rho = tightness_rho(spec, ch.h, ch.g)
+        covs = []
+        for a in (0.25, 0.5, 0.75):
+            covs.append(optimal_covariances(ch, a, spec))
+            sdpc_rates(ch, covs[-1])
+            verify_identity_eq9(ch, a, spec)
+        assert builds == []
+        for cov in covs:
+            sato_f1(ch, rho, cov.total)
+            sato_f2(ch, rho, cov.total)
+        assert builds == [0, 1] * 3
+
 
 class TestSpectrum:
+    def test_compares_by_identity(self):
+        a, b = spectrum(make([1, 0], [0, 1])), spectrum(make([1, 0], [0, 1]))
+        assert a == a
+        assert a != b
+
     def test_identical_channels(self):
         spec = spectrum(make([1, 0], [1, 0]))
         assert abs(spec.lambda1 - 1.0) <= 1e-12

@@ -109,6 +109,24 @@ class TestGamma1:
             gamma1(example_channel, spec, 1.5)
 
 
+class TestCheckParam:
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, 0.0, -0.0, 1.0, float(np.nextafter(1.0, 2.0)), np.nextafter(1, 2),
+         -1e-300, np.float64(0.3), 1, np.array(0.5)],
+    )
+    def test_matches_the_array_path(self, value):
+        # a Python float skips NumPy; it must give what the 0-d array gives
+        def outcome(v):
+            try:
+                got = regions._check_param(v, "alpha")
+            except ParamOutOfRange as exc:
+                return str(exc)
+            return type(got), np.float64(got).tobytes()
+
+        assert outcome(value) == outcome(np.asarray(value, dtype=float))
+
+
 class TestGamma2:
     def test_unit_alpha_collapses(self, example_channel):
         spec = spectrum(example_channel)

@@ -176,6 +176,12 @@ class TestClosedForm:
                 (gg, hh, complex(qf(ch.h, k, ch.g))),
             )
 
+    def test_evaluations_compare_by_identity(self, example_channel):
+        k = optimal_covariances(example_channel, 0.3).total
+        a, b = evaluate(example_channel, 0.1, k), evaluate(example_channel, 0.1, k)
+        assert a == a
+        assert a != b
+
 
 class TestTightnessRho:
     def test_identical_channels(self):

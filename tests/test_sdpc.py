@@ -55,10 +55,9 @@ class TestSdpcRates:
     def test_r1_ignores_k_u2_bitwise(self, example_channel):
         spec = spectrum(example_channel)
         cov = optimal_covariances(example_channel, 0.4, spec)
-        r_before = sdpc_rates(example_channel, cov)
-        perturbed = CovariancePair(
-            cov.k_u1, 0.5 * cov.k_u2 + 0.1 * np.eye(2, dtype=complex)
-        )
+        k_u1 = np.array(cov.k_u1)
+        r_before = sdpc_rates(example_channel, CovariancePair(k_u1, np.array(cov.k_u2)))
+        perturbed = CovariancePair(k_u1, 0.5 * cov.k_u2 + 0.1 * np.eye(2, dtype=complex))
         r_after = sdpc_rates(example_channel, perturbed)
         assert r_before.r1 == r_after.r1
 
@@ -124,15 +123,33 @@ class TestOptimalCovariances:
         with pytest.raises(ParamOutOfRange):
             optimal_covariances(example_channel, 1.2)
 
-    def test_factors_survive_rewrapping_and_arithmetic_drops_them(self, example_channel):
-        cov = optimal_covariances(example_channel, 0.3)
-        again = CovariancePair(cov.k_u1, cov.k_u2)
-        assert again.k_u1 is cov.k_u1 and again.k_u2 is cov.k_u2
-        total = cov.total
-        assert type(total) is np.ndarray
-        assert np.array_equal(total, np.asarray(cov.k_u1) + np.asarray(cov.k_u2))
-        with pytest.raises(ValueError):
-            cov.k_u1[0, 0] = 1.0  # read-only: the factor could not follow
+    def test_dense_views_are_cached_read_only_arrays(self, example_channel):
+        spec = spectrum(example_channel)
+        cov = optimal_covariances(example_channel, 0.3, spec)
+        _, c2 = gamma2(example_channel, spec, 0.3)
+        k_u1 = (0.3 * 10.0) * np.outer(spec.e1, spec.e1.conj())
+        k_u2 = ((1.0 - 0.3) * 10.0) * np.outer(c2, c2.conj())
+        for name, want in (("k_u1", k_u1), ("k_u2", k_u2), ("total", k_u1 + k_u2)):
+            k = getattr(cov, name)
+            assert type(k) is np.ndarray
+            assert getattr(cov, name) is k
+            assert k.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                k[0, 0] = 1.0  # read-only: the factors could not follow
+
+    def test_compares_by_identity_and_is_read_only(self, example_channel):
+        a = optimal_covariances(example_channel, 0.3)
+        b = optimal_covariances(example_channel, 0.3)
+        assert a == a and a != b
+        zero = np.zeros((2, 2), dtype=complex)
+        dense = CovariancePair(zero, zero)
+        assert dense == dense and dense != CovariancePair(zero, zero)
+        for cov in (a, dense):
+            with pytest.raises(AttributeError):
+                cov.k_u1 = zero
+            for k in (cov.k_u1, cov.k_u2, cov.total):
+                with pytest.raises(ValueError):
+                    k[0, 0] = 1.0
 
     @pytest.mark.parametrize("power", [1e8, 1e10, 1e12])
     def test_high_power_rates_from_factors(self, power):
