@@ -43,9 +43,7 @@ from .regions import (
     xi2,
 )
 from .sato import (
-    AuditConfig,
     AuditReport,
-    CovSearchConfig,
     SatoEvaluation,
     audit_inner_outer,
     outer_region,
@@ -63,12 +61,10 @@ from .sdpc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditConfig",
     "AuditReport",
     "BothZeroVectors",
     "ChannelPair",
     "ChannelSpectrum",
-    "CovSearchConfig",
     "CovarianceInvalid",
     "CovariancePair",
     "DegeneratePivot",

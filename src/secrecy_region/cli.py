@@ -129,7 +129,7 @@ def _sweep_from_args(args) -> SweepConfig | None:
     if args.grid < 2:
         raise ConfigError("--grid needs at least 2 points")
     # an explicit grid is exact: no subdivision, no refinement
-    return SweepConfig(grid_points=args.grid, adaptive=False, refine=False)
+    return SweepConfig(grid_points=args.grid, sagitta_tol=None, refine=False)
 
 
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:
@@ -230,13 +230,36 @@ def _spectrum_payload(ch: ChannelPair) -> dict:
     }
 
 
+def _write_outputs(args, json_text: str, csv=None, svg=None, echo=False) -> None:
+    """Write each --out-* file that was given, calling `csv` or `svg` for
+    its text only then, and print the JSON when `echo` is set or no file
+    was written."""
+    wrote = False
+    for path, make in (
+        (getattr(args, "out_csv", None), csv),
+        (args.out_json, lambda: json_text),
+        (getattr(args, "out_svg", None), svg),
+    ):
+        if path and make is not None:
+            output.atomic_write_text(path, make())
+            wrote = True
+    if echo or not wrote:
+        sys.stdout.write(json_text)
+
+
+def _capacity_svg(boundary, ts) -> str:
+    """The capacity region's frontier against time sharing."""
+    return output.region_svg(
+        [
+            ("capacity region", boundary.frontier(), "solid"),
+            ("time sharing", ts.frontier(), "dashdot"),
+        ]
+    )
+
+
 def cmd_spectrum(args) -> int:
     ch = _channel_from_args(args)
-    payload = _spectrum_payload(ch)
-    text = output.dump_json(payload)
-    if args.out_json:
-        output.atomic_write_text(args.out_json, text)
-    sys.stdout.write(text)
+    _write_outputs(args, output.dump_json(_spectrum_payload(ch)), echo=True)
     return EXIT_OK
 
 
@@ -270,27 +293,12 @@ def cmd_region(args) -> int:
             "hausdorff_bits": beta_hd,
             "max_corner_dist_bits": float(beta_dists.max(initial=0.0)),
         }
-    csv_text = output.boundary_csv(boundary, beta_dists, beta_hd)
-    json_text = output.dump_json(payload)
-    wrote = False
-    if args.out_csv:
-        output.atomic_write_text(args.out_csv, csv_text)
-        wrote = True
-    if args.out_json:
-        output.atomic_write_text(args.out_json, json_text)
-        wrote = True
-    if args.out_svg:
-        ts = time_sharing_region(ch)
-        svg = output.region_svg(
-            [
-                ("capacity region", boundary.frontier(), "solid"),
-                ("time sharing", ts.frontier(), "dashdot"),
-            ]
-        )
-        output.atomic_write_text(args.out_svg, svg)
-        wrote = True
-    if not wrote:
-        sys.stdout.write(json_text)
+    _write_outputs(
+        args,
+        output.dump_json(payload),
+        csv=lambda: output.boundary_csv(boundary, beta_dists, beta_hd),
+        svg=lambda: _capacity_svg(boundary, time_sharing_region(ch)),
+    )
     return EXIT_OK
 
 
@@ -303,14 +311,9 @@ def cmd_sdpc(args) -> int:
         gaps = [sdpc.verify_identity_eq9(ch, a) for a in boundary.params.tolist()]
         payload = _boundary_payload(boundary)
         payload["max_identity_gap"] = max(gaps, default=0.0)
-        csv_text = output.boundary_csv(boundary)
-        if args.out_csv:
-            output.atomic_write_text(args.out_csv, csv_text)
-        text = output.dump_json(payload)
-        if args.out_json:
-            output.atomic_write_text(args.out_json, text)
-        if not args.out_csv and not args.out_json:
-            sys.stdout.write(text)
+        _write_outputs(
+            args, output.dump_json(payload), csv=lambda: output.boundary_csv(boundary)
+        )
         return EXIT_OK
     alpha = args.alpha
     if not 0.0 <= alpha <= 1.0:
@@ -325,10 +328,7 @@ def cmd_sdpc(args) -> int:
         "r2_bits": rates.r2,
         "identity_gap": sdpc.verify_identity_eq9(ch, alpha),
     }
-    text = output.dump_json(payload)
-    if args.out_json:
-        output.atomic_write_text(args.out_json, text)
-    sys.stdout.write(text)
+    _write_outputs(args, output.dump_json(payload), echo=True)
     return EXIT_OK
 
 
@@ -340,39 +340,28 @@ def cmd_outer(args) -> int:
         spec = spectrum(ch)
         rho = sato.tightness_rho(spec, ch.h, ch.g)
     boundary = sato.outer_region(ch, rho)
+    hull = boundary.hull
     payload = {
         "rho": [rho.real, rho.imag],
         "kind": boundary.kind,
-        "n_corners": len(boundary.hull),
-        "frontier": boundary.hull,
+        "n_corners": len(hull),
+        "frontier": hull,
     }
-    csv_text = output.boundary_csv(boundary)
-    json_text = output.dump_json(payload)
-    wrote = False
-    if args.out_csv:
-        output.atomic_write_text(args.out_csv, csv_text)
-        wrote = True
-    if args.out_json:
-        output.atomic_write_text(args.out_json, json_text)
-        wrote = True
-    if args.out_svg:
-        stairs = geometry.staircase_polyline(boundary.hull)
-        svg = output.region_svg([("outer bound frontier", stairs, "solid")])
-        output.atomic_write_text(args.out_svg, svg)
-        wrote = True
-    if not wrote:
-        sys.stdout.write(json_text)
+    _write_outputs(
+        args,
+        output.dump_json(payload),
+        csv=lambda: output.boundary_csv(boundary),
+        svg=lambda: output.region_svg(
+            [("outer bound frontier", geometry.staircase_polyline(hull), "solid")]
+        ),
+    )
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     ch = _channel_from_args(args)
-    sweep = _sweep_from_args(args)
-    report = sato.audit_inner_outer(ch, sato.AuditConfig(sweep) if sweep else None)
-    text = output.dump_json(report.to_dict())
-    if args.out_json:
-        output.atomic_write_text(args.out_json, text)
-    sys.stdout.write(text)
+    report = sato.audit_inner_outer(ch, _sweep_from_args(args))
+    _write_outputs(args, output.dump_json(report.to_dict()), echo=True)
     if not report.containment_ok:
         raise AuditFailure(
             f"containment violated: worst witness margin "
@@ -417,13 +406,7 @@ def cmd_reproduce_fig2(args) -> int:
         "svg": args.out_svg,
     }
     output.atomic_write_text(args.out_csv, output.boundary_csv(boundary))
-    svg = output.region_svg(
-        [
-            ("capacity region", boundary.frontier(), "solid"),
-            ("time sharing", ts.frontier(), "dashdot"),
-        ]
-    )
-    output.atomic_write_text(args.out_svg, svg)
+    output.atomic_write_text(args.out_svg, _capacity_svg(boundary, ts))
     if args.out_json:
         payload = _boundary_payload(boundary)
         payload.update(summary)
@@ -466,9 +449,7 @@ def main(argv=None) -> int:
         return _emit_error("config", EXIT_CONFIG, str(exc))
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        return _emit_error("config", EXIT_CONFIG, str(exc))
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         return _emit_error("config", EXIT_CONFIG, str(exc))
     except NumericsError as exc:
         return _emit_error("numerics", EXIT_NUMERICS, str(exc))

@@ -83,19 +83,17 @@ MAX_POINTS = 20000
 class SweepConfig:
     """Controls for the boundary sweep.
 
-    The uniform base grid is refined two ways: chord-sagitta subdivision
-    until the polygonal boundary sits within `sagitta_tol` of the true
-    curve, and (with `refine`) golden-section searches that pin the
-    maximizer of r1 + w * r2 for each weight in `REFINE_WEIGHTS`.
-    `segment_tol`, when set, also splits any boundary chord longer than
-    the given length (used by the outer bound's staircase, which needs
-    short steps rather than low sagitta). A sweep stops adding parameters
-    at `MAX_POINTS`.
+    The uniform base grid is refined two ways: subdivision, which splits
+    a chord whose sagitta exceeds `sagitta_tol` or whose length exceeds
+    `segment_tol` (the outer bound's staircase needs short steps rather
+    than low sagitta), and (with `refine`) golden-section searches that
+    pin the maximizer of r1 + w * r2 for each weight in `REFINE_WEIGHTS`.
+    With both tolerances None the sweep is the exact base grid. A sweep
+    stops adding parameters at `MAX_POINTS`.
     """
 
     grid_points: int = 512
-    adaptive: bool = True
-    sagitta_tol: float = 1e-7
+    sagitta_tol: float | None = 1e-7
     segment_tol: float | None = None
     refine: bool = True
 
@@ -247,6 +245,7 @@ def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -
     params, corner = _cache_arrays(cache)
     # intervals [lo, hi] in parameter order, with their end corners a, b
     lo, hi, a, b = params[:-1], params[1:], corner[:-1], corner[1:]
+    sagitta_tol = math.inf if cfg.sagitta_tol is None else cfg.sagitta_tol
     for _depth in range(41):
         live = np.flatnonzero(hi - lo >= 1e-12)[: max(MAX_POINTS - len(cache), 0)]
         if live.size == 0:
@@ -256,7 +255,7 @@ def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -
         m1, m2 = corners(mid)
         m = np.stack([m1, m2], axis=1)
         cache.update(zip(mid.tolist(), zip(m1.tolist(), m2.tolist())))
-        split = geometry.segment_distances(m, a, b) > cfg.sagitta_tol
+        split = geometry.segment_distances(m, a, b) > sagitta_tol
         if cfg.segment_tol is not None:
             split |= np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) > cfg.segment_tol
         # each split interval becomes its halves [lo, mid], [mid, hi], in order
@@ -353,7 +352,7 @@ def sweep_corners(
     base = np.linspace(0.0, 1.0, cfg.grid_points)
     r1, r2 = corners(base)
     cache = dict(zip(base.tolist(), zip(r1.tolist(), r2.tolist())))
-    if cfg.adaptive:
+    if cfg.sagitta_tol is not None or cfg.segment_tol is not None:
         _subdivide(corners, cache, cfg)
     if cfg.refine:
         _golden_refine(corners, cache)
@@ -400,10 +399,14 @@ def region_contains(boundary: RegionBoundary, p: RatePair, tol: float = 1e-9) ->
 
 
 def equal_rate_point(boundary: RegionBoundary) -> float:
-    """Largest c with (c, c) inside the region (frontier/diagonal crossing)."""
+    """Largest c with (c, c) inside the region: the frontier/diagonal
+    crossing of a convex boundary, the best corner of the outer bound's
+    staircase (a chord would overstate that union of rectangles)."""
     frontier = boundary.frontier()
     if len(frontier) == 0:
         return 0.0
+    if boundary.kind == "outer":
+        return float(np.minimum(frontier[:, 0], frontier[:, 1]).max())
     hi = float(frontier[-1, 0])
     if geometry.frontier_value(frontier, hi) >= hi:
         return hi

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,31 +55,14 @@ class SatoEvaluation:
     mu_star: complex
 
 
-@dataclass(frozen=True)
-class CovSearchConfig:
-    """Input-covariance family searched when tracing the outer region.
-
-    f1 and f2 see K_X only through h^H K h, g^H K g and g^H K h, and both
-    grow with K_X in the positive-semidefinite order. A rank-one K = P u u^H
-    therefore sees only the projection of u onto span{h, g}, and scaling
-    that projection up to a unit vector at full power dominates it (as it
-    dominates any lower-power K). So the rank-one search covers the unit
-    sphere of C^2, in coordinates of an orthonormal basis of span{h, g}, on
-    an `angles` x `phases` grid of (cos th, sin th e^{i phi}), whatever the
-    antenna count; its staircase depends only on the Gram data and P. The
-    boundary-achieving rank-two family rides along on a parameter grid
-    refined until consecutive rectangle corners are `sdpc_sweep.segment_tol`
-    apart, which is what limits the staircase resolution.
-    """
-
-    angles: int = 256
-    phases: int = 64
-    sdpc_sweep: SweepConfig = field(
-        default_factory=lambda: SweepConfig(
-            grid_points=129, sagitta_tol=1e-5, segment_tol=2.5e-3, refine=False
-        )
-    )
-
+#: rank-one search grid on the unit sphere of span{h, g} (see
+#: `_rank_one_bounds`), and the sweep of the boundary covariances that
+#: ride along with it in `outer_region`
+RANK_ONE_ANGLES = 256
+RANK_ONE_PHASES = 64
+OUTER_SWEEP = SweepConfig(
+    grid_points=129, sagitta_tol=1e-5, segment_tol=2.5e-3, refine=False
+)
 
 #: audit rho grid: 0 plus `RHO_ANGLES` angles on each radius step
 RHO_RADIUS_STEP = 0.1
@@ -90,22 +73,10 @@ RHO_ANGLES = 16
 CONTAINMENT_TOL = 1e-6
 CORNER_TOL = 1e-6
 
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """Sweep behind the inner/outer consistency audit.
-
-    The audit's precision does not depend on sweep density (witness
-    rectangles are exact per swept corner), so the default sweep is
-    lighter than the region default. The rho grid and the tolerances are
-    the module constants above.
-    """
-
-    sweep: SweepConfig = field(
-        default_factory=lambda: SweepConfig(
-            grid_points=257, sagitta_tol=1e-6, refine=False
-        )
-    )
+#: default audit sweep: the audit's precision does not depend on sweep
+#: density (witness rectangles are exact per swept corner), so it is
+#: lighter than the region default
+AUDIT_SWEEP = SweepConfig(grid_points=257, sagitta_tol=1e-6, refine=False)
 
 
 @dataclass(frozen=True)
@@ -147,6 +118,8 @@ class AuditReport:
 
 def _check_rho(rho: complex, edge: float = RHO_EDGE) -> complex:
     r = complex(rho)
+    if not cmath.isfinite(r):
+        raise ValueError(f"rho must be finite, got {r}")
     if abs(r) > 1.0 - edge:
         raise RhoOnUnitCircle(f"|rho| = {abs(r):.12g} is too close to 1")
     return r
@@ -247,17 +220,27 @@ def tightness_rho(
     return rho
 
 
-def _rank_one_bounds(
-    ch: ChannelPair, rho: complex, cfg: CovSearchConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _rank_one_bounds(ch: ChannelPair, rho: complex) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (f1, f2) over the full-power rank-one family on
-    span{h, g}, in raw log2 units (see CovSearchConfig)."""
+    span{h, g}, in raw log2 units.
+
+    f1 and f2 see K_X only through h^H K h, g^H K g and g^H K h, and both
+    grow with K_X in the positive-semidefinite order. A rank-one K = P u u^H
+    therefore sees only the projection of u onto span{h, g}, and scaling
+    that projection up to a unit vector at full power dominates it. So the
+    search covers the unit sphere of C^2, in coordinates of an orthonormal
+    basis of span{h, g}, on a `RANK_ONE_ANGLES` x `RANK_ONE_PHASES` grid of
+    (cos th, sin th e^{i phi}), whatever the antenna count; its staircase
+    depends only on the Gram data and P. This family is not the whole
+    union: a rank-two K with tr K = P is dominated by no rank-one K of the
+    same trace, and such inputs can reach beyond this staircase.
+    """
     # columns: coordinates of h and g in the orthonormal basis (q1, q2) of
     # the channel's span plane, which depend only on the Gram data
     nu, nw, _, _, c, s, _ = ch.plane_hg
     r = np.array([[nu, nw * c], [0.0, nw * s]])
-    theta = np.linspace(0.0, 0.5 * math.pi, cfg.angles)
-    phi = np.linspace(0.0, 2.0 * math.pi, cfg.phases, endpoint=False)
+    theta = np.linspace(0.0, 0.5 * math.pi, RANK_ONE_ANGLES)
+    phi = np.linspace(0.0, 2.0 * math.pi, RANK_ONE_PHASES, endpoint=False)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     u = np.stack(
         [np.cos(th).ravel() + 0j, (np.sin(th) * np.exp(1j * ph)).ravel()], axis=1
@@ -290,10 +273,12 @@ def _kx_forms(ch: ChannelPair, spec: ChannelSpectrum, alpha) -> tuple[tuple, tup
     return (hh, gg, gh), (gg, hh, np.conj(gh))
 
 
-def outer_region(
-    ch: ChannelPair, rho: complex, search: CovSearchConfig | None = None
-) -> RegionBoundary:
-    """Pareto frontier of the searched union of outer rectangles.
+def outer_region(ch: ChannelPair, rho: complex) -> RegionBoundary:
+    """Pareto frontier of the searched union of outer rectangles: the
+    rank-one family of `_rank_one_bounds` plus the boundary covariances
+    K_X(alpha) on an `OUTER_SWEEP` parameter grid, refined until
+    consecutive rectangle corners are `segment_tol` apart, which is what
+    limits the staircase resolution.
 
     The frontier is a staircase (unions of rectangles are not convex);
     region_contains handles it with rectangle dominance. The capacity
@@ -301,12 +286,11 @@ def outer_region(
     this frontier must dominate the achievable hull.
     """
     r = _check_rho(rho, RHO_GRID_EDGE)
-    cfg = search or CovSearchConfig()
     scale = rate_scale(ch)
     spec = spectrum(ch)
-    alphas = np.array(sorted(sweep_corners(ch, spec, cfg.sdpc_sweep, PARAM_ALPHA)))
+    alphas = np.array(sorted(sweep_corners(ch, spec, OUTER_SWEEP, PARAM_ALPHA)))
     forms1, forms2 = _kx_forms(ch, spec, alphas)
-    ones1, ones2 = _rank_one_bounds(ch, r, cfg)
+    ones1, ones2 = _rank_one_bounds(ch, r)
     # rank-one candidates first, then the boundary covariances
     f1 = scale * np.concatenate([ones1, _bound_values(forms1, r)])
     f2 = scale * np.concatenate([ones2, _bound_values(forms2, r)])
@@ -333,7 +317,7 @@ def _rho_grid() -> list[complex]:
     return grid
 
 
-def audit_inner_outer(ch: ChannelPair, grids: AuditConfig | None = None) -> AuditReport:
+def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> AuditReport:
     """Containment and tightness audit of the outer bound.
 
     Containment: every hull vertex of the achievable region must sit
@@ -345,11 +329,11 @@ def audit_inner_outer(ch: ChannelPair, grids: AuditConfig | None = None) -> Audi
     Tightness: at rho* with K_X(alpha) = K_U1 + K_U2, report the per-alpha
     gaps between the bounds and the achievable rates (raw log2 units).
     Gaps are provably zero at the two corner points when rho* is real.
+    The achievable region is swept on `sweep` (default `AUDIT_SWEEP`).
     """
-    cfg = grids or AuditConfig()
     spec = spectrum(ch)
     scale = rate_scale(ch)
-    boundary = capacity_region(ch, cfg.sweep)
+    boundary = capacity_region(ch, sweep or AUDIT_SWEEP)
 
     # quadratic forms of K_X(alpha) for every swept parameter, as arrays
     # (the audit loops are vectorized over the sweep)

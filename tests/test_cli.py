@@ -225,6 +225,12 @@ class TestOuter:
         code, _, err = run(capsys, "outer", *EXAMPLE_FLAGS, "--rho", "zzz")
         assert code == 2
 
+    @pytest.mark.parametrize("rho", ["nan", "0.3+nanj"])
+    def test_non_finite_rho_is_config(self, capsys, rho):
+        code, out, err = run(capsys, "outer", *EXAMPLE_FLAGS, "--rho", rho)
+        assert code == 2 and out == ""
+        assert parse_error(err)["code"] == "config"
+
     def test_rho_on_unit_circle_is_numerics(self, capsys):
         code, _, err = run(capsys, "outer", *EXAMPLE_FLAGS, "--rho", "1.0")
         assert code == 3
@@ -279,8 +285,8 @@ class TestAudit:
         assert abs(payload["corner_gaps"]["alpha1_f1"]) <= 1e-6
 
     def test_default_sweep_is_the_audit_default(self, capsys, example_channel):
-        # without --grid the CLI audits on AuditConfig's sweep, not the
-        # region's
+        # without --grid the CLI audits on sato.AUDIT_SWEEP, not the
+        # region's default sweep
         code, out, _ = run(capsys, "audit", *EXAMPLE_FLAGS)
         assert code == 0
         report = sato.audit_inner_outer(example_channel)

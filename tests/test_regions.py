@@ -1,5 +1,6 @@
 """Region sweep, corner identities, hull geometry and duality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from secrecy_region import (
     gamma2,
     max_rates,
     miso_wiretap_capacity,
+    outer_region,
     region_contains,
     spectrum,
     time_sharing_region,
@@ -246,7 +248,7 @@ class TestCapacityRegion:
                 assert region_contains(large, p, tol=1e-9)
 
     def test_two_point_grid_still_valid(self, example_channel):
-        cfg = SweepConfig(grid_points=2, adaptive=False, refine=False)
+        cfg = SweepConfig(grid_points=2, sagitta_tol=None, refine=False)
         b = capacity_region(example_channel, cfg)
         assert len(b.points) == 2
         assert RatePair(*b.hull[0]) == RatePair(0.0, b.r2_max)
@@ -343,9 +345,43 @@ class TestCapacityRegion:
         # the cap keeps the parameters first in order within each step
         monkeypatch.setattr(regions, "MAX_POINTS", cap)
         spec = spectrum(example_channel)
-        cfg = SweepConfig(grid_points=17, adaptive=False)
+        cfg = SweepConfig(grid_points=17, sagitta_tol=None)
         cache = regions.sweep_corners(example_channel, spec, cfg, "alpha")
         assert len(cache) == cap
+
+    def test_no_tolerance_sweeps_the_exact_grid(self, example_channel):
+        cfg = SweepConfig(grid_points=17, sagitta_tol=None, refine=False)
+        b = capacity_region(example_channel, cfg)
+        assert b.params.tolist() == np.linspace(0.0, 1.0, 17).tolist()
+
+    def test_segment_tol_alone_splits_only_long_chords(self, example_channel):
+        spec = spectrum(example_channel)
+        corners = regions._corner_fn(example_channel, spec, "alpha")
+
+        def swept(segment_tol):
+            cfg = SweepConfig(
+                grid_points=9, sagitta_tol=None, segment_tol=segment_tol, refine=False
+            )
+            return regions.sweep_corners(example_channel, spec, cfg, "alpha")
+
+        # no chord is long: each base interval gets its one midpoint only
+        assert len(swept(10.0)) == 17
+        # a depth-first reference that splits on chord length alone
+        base = np.linspace(0.0, 1.0, 9).tolist()
+        ref = {v: tuple(float(r[0]) for r in corners(np.array([v]))) for v in base}
+        stack = [(lo, hi, 0) for lo, hi in zip(base, base[1:])]
+        while stack:
+            lo, hi, depth = stack.pop()
+            if depth > 40 or hi - lo < 1e-12:
+                continue
+            mid = 0.5 * (lo + hi)
+            ref[mid] = tuple(float(r[0]) for r in corners(np.array([mid])))
+            if math.dist(ref[lo], ref[hi]) > 0.05:
+                stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
+        cache = swept(0.05)
+        assert sorted(cache) == sorted(ref)
+        points = np.array([cache[v] for v in sorted(cache)])
+        assert np.hypot(*np.diff(points, axis=0).T).max() <= 0.05
 
     def test_hull_union_gap_small_for_example(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
@@ -376,6 +412,26 @@ class TestBetaParametrization:
         bb = capacity_region_beta(example_channel, cfg)
         hd = geometry.hausdorff_distance(ba.frontier(), bb.frontier())
         assert hd <= 1e-6
+
+
+class TestEqualRatePoint:
+    def test_diagonal_point_on_each_boundary_kind(self, example_channel):
+        # (c, c) lies inside and (c + 1e-6, c + 1e-6) does not, on a convex
+        # frontier, a segment and the outer bound's staircase alike
+        boundaries = [
+            capacity_region(example_channel, LIGHT),
+            time_sharing_region(example_channel),
+            outer_region(example_channel, 0.3),
+        ]
+        for b in boundaries:
+            c = equal_rate_point(b)
+            assert region_contains(b, RatePair(c, c))
+            assert not region_contains(b, RatePair(c + 1e-6, c + 1e-6))
+
+    def test_empty_hull_is_zero(self, example_channel):
+        b = outer_region(example_channel, 0.3)
+        empty = dataclasses.replace(b, hull=np.empty((0, 2)), hull_params=np.empty(0))
+        assert equal_rate_point(empty) == 0.0
 
 
 class TestTimeSharing:
