@@ -39,8 +39,9 @@ class ChannelPair:
     only selects the 1/2 factor applied to reported rates (real-alphabet
     signalling carries half the degrees of freedom per channel use).
 
-    h and g are validated once and kept as read-only copies, on which the
-    span planes and the spectrum are cached. Channels compare by identity.
+    h and g are validated once and kept as read-only copies, with their
+    directions; both span planes are built from those on first use and
+    cached, as is the spectrum. Channels compare by identity.
     """
 
     h: np.ndarray
@@ -69,6 +70,8 @@ class ChannelPair:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "power", power)
+        # (|h|, h/|h|) and (|g|, g/|g|): the span planes are built from these
+        object.__setattr__(self, "_directions", (linalg._direction(h), linalg._direction(g)))
 
     @property
     def dim(self) -> int:
@@ -77,12 +80,16 @@ class ChannelPair:
     @cached_property
     def plane_hg(self) -> linalg.SpanPlane:
         """span{h, g} with h first: the plane of user 1's pencils."""
-        return linalg.span_plane(self.h, self.g)
+        return linalg._plane(*self._directions, self.dim)
 
     @cached_property
     def plane_gh(self) -> linalg.SpanPlane:
         """span{h, g} with g first: the plane of user 2's pencils."""
-        return linalg.span_plane(self.g, self.h)
+        return linalg._plane(*reversed(self._directions), self.dim)
+
+    @cached_property
+    def _h_is_g(self) -> bool:
+        return bool(np.array_equal(self.h, self.g))
 
     @cached_property
     def spectrum(self) -> "ChannelSpectrum":

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="pencil eigenvalues and feasibility")
     _add_channel_flags(p)
-    _add_output_flags(p, svg=False)
+    p.add_argument("--out-json", metavar="PATH")
 
     p = sub.add_parser("region", help="sweep the achievable region boundary")
     _add_channel_flags(p)
@@ -315,6 +315,8 @@ def cmd_sdpc(args) -> int:
             args, output.dump_json(payload), csv=lambda: output.boundary_csv(boundary)
         )
         return EXIT_OK
+    if args.out_csv:
+        raise ConfigError("--out-csv needs --grid: one alpha has no boundary to write")
     alpha = args.alpha
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"--alpha must lie in [0, 1], got {alpha}")

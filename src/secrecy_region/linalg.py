@@ -43,7 +43,7 @@ def as_complex_vector(entries) -> np.ndarray:
     v = np.asarray(entries, dtype=complex)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():  # a complex entry is finite iff both parts are
         raise ValueError("vector entries must be finite")
     return v
 
@@ -108,7 +108,7 @@ def phase_normalize(v: np.ndarray) -> np.ndarray:
 def _direction(v: np.ndarray) -> tuple[float, np.ndarray | None]:
     """(|v|, v/|v|), scaling by the largest entry first so that products of
     entries of order 1e+-150 neither overflow nor underflow."""
-    top = float(np.max(np.abs(v)))
+    top = float(abs(v).max())
     if top == 0.0:
         return 0.0, None
     scaled = v / top
@@ -125,8 +125,7 @@ def _orthogonal_unit(q: np.ndarray) -> np.ndarray:
 
 
 class SpanPlane(NamedTuple):
-    """span{u, w} as u = nu q1 and w = nw (c q1 + s q2), (q1, q2) orthonormal
-    (q2 = 0 when s = 0), plus a unit vector ortho orthogonal to q1."""
+    """span{u, w} as u = nu q1, w = nw (c q1 + s q2); (q1, q2) orthonormal, q2 = 0 if s = 0."""
 
     nu: float
     nw: float
@@ -134,7 +133,6 @@ class SpanPlane(NamedTuple):
     q2: np.ndarray
     c: complex
     s: float
-    ortho: np.ndarray
 
 
 def span_plane(u, w) -> SpanPlane:
@@ -143,13 +141,15 @@ def span_plane(u, w) -> SpanPlane:
     s is the sine of the angle between u and w, exactly 0 below
     `PARALLEL_TOL`. A zero u takes q1 along w (e_0 when both are zero).
     """
-    u = as_complex_vector(u)
-    w = as_complex_vector(w)
-    t = u.shape[0]
-    if w.shape[0] != t or t < 2:
-        raise DimensionMismatch(f"pencil vectors of lengths {t} and {w.shape[0]}")
-    nu, q1 = _direction(u)
-    nw, wd = _direction(w)
+    u, w = as_complex_vector(u), as_complex_vector(w)
+    if w.shape[0] != u.shape[0] or u.shape[0] < 2:
+        raise DimensionMismatch(f"pencil vectors of lengths {u.shape[0]} and {w.shape[0]}")
+    return _plane(_direction(u), _direction(w), u.shape[0])
+
+
+def _plane(du: tuple, dw: tuple, t: int) -> SpanPlane:
+    """The plane of checked vectors from their `_direction` results."""
+    (nu, q1), (nw, wd) = du, dw
     c, s = 1.0 + 0j, 0.0
     q2 = np.zeros(t, dtype=complex)
     if q1 is None:
@@ -162,10 +162,9 @@ def span_plane(u, w) -> SpanPlane:
             q2 = rest / s
         else:
             s = 0.0
-    ortho = _orthogonal_unit(q1)
-    for v in (q1, q2, ortho):
+    for v in (q1, q2):  # the channel's two planes may share these
         v.flags.writeable = False
-    return SpanPlane(nu, nw, q1, q2, c, s, ortho)
+    return SpanPlane(nu, nw, q1, q2, c, s)
 
 
 #: what `plane_top` calls NumPy for, on one pair of float weights: the same
@@ -212,9 +211,10 @@ def plane_top(plane: SpanPlane, a, b) -> RankOneTop:
     0-d weights run the same operations on Python floats and NumPy complex
     scalars (`_FLOAT_OPS`), with the bits of an array of weights.
     """
-    nu, nw, q1, q2, c, s, ortho = plane
+    nu, nw, q1, q2, c, s = plane
     t = q1.shape[0]
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    # float weights, np.float64 among them, need no np.ndim call
+    scalar = isinstance(a, float) and isinstance(b, float) or np.ndim(a) == np.ndim(b) == 0
     if scalar:
         xp, a, b = _FLOAT_OPS, float(a), float(b)
     else:
@@ -269,12 +269,12 @@ def plane_top(plane: SpanPlane, a, b) -> RankOneTop:
     x1 = x1 / norm
     # no null vector on the span: a tie keeps q1, else the top is orthogonal
     if scalar:
-        vec = (ortho if lin < 0.0 else q1) if scale == 0.0 else x0 * q1 + x1 * q2
+        vec = (_orthogonal_unit(q1) if lin < 0.0 else q1) if scale == 0.0 else x0 * q1 + x1 * q2
         return RankOneTop(np.float64(lam), phase_normalize(vec), np.float64(gap))
     vec = x0[:, None] * q1 + x1[:, None] * q2
     empty = scale == 0.0
     if np.any(empty):
-        fallback = np.where((lin < 0.0)[:, None], ortho, q1)
+        fallback = np.where((lin < 0.0)[:, None], _orthogonal_unit(q1), q1)
         vec = np.where(empty[:, None], fallback, vec)
     vec = phase_normalize(vec)
     return RankOneTop(lam.reshape(shape), vec.reshape(shape + (t,)), gap.reshape(shape))

@@ -150,7 +150,7 @@ def gamma2(ch: ChannelPair, spec: ChannelSpectrum, alpha):
         ch, abs(np.vdot(ch.g, spec.e1)) ** 2, abs(np.vdot(ch.h, spec.e1)) ** 2, a
     )
     res = linalg.plane_top(ch.plane_gh, s_g, s_h)
-    return (float(res.lam), res.vec) if np.ndim(a) == 0 else (res.lam, res.vec)
+    return (float(res.lam), res.vec) if type(a) is float else (res.lam, res.vec)
 
 
 def xi2(ch: ChannelPair, spec: ChannelSpectrum, beta):
@@ -172,7 +172,7 @@ def xi1(ch: ChannelPair, spec: ChannelSpectrum, beta):
         ch, abs(np.vdot(ch.h, spec.e2)) ** 2, abs(np.vdot(ch.g, spec.e2)) ** 2, b
     )
     res = linalg.plane_top(ch.plane_hg, s_h, s_g)
-    return (float(res.lam), res.vec) if np.ndim(b) == 0 else (res.lam, res.vec)
+    return (float(res.lam), res.vec) if type(b) is float else (res.lam, res.vec)
 
 
 def _log_rate(ratio: float, scale: float) -> float:

@@ -34,7 +34,7 @@ from .regions import (
     gamma2,
     sweep_corners,
 )
-from .sdpc import PSD_TOL, TRACE_TOL
+from .sdpc import PSD_TOL, TRACE_TOL, _finite
 
 #: evaluations require |rho| <= 1 - RHO_EDGE (the 1-|rho|^2 denominator)
 RHO_EDGE = 1e-9
@@ -126,12 +126,12 @@ def _check_rho(rho: complex, edge: float = RHO_EDGE) -> complex:
 
 
 def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
-    k = linalg.hermitize(k_x)
+    k = linalg.hermitize(_finite(k_x))
     if k.shape[0] != ch.dim:
         raise CovarianceInvalid(
             f"K_X dimension {k.shape[0]} != channel dimension {ch.dim}"
         )
-    trace = float(np.trace(k).real)
+    trace = float(k.trace().real)
     low = float(np.linalg.eigvalsh(k)[0])
     if low < -PSD_TOL * max(1.0, trace):
         raise CovarianceInvalid(f"K_X has eigenvalue {low:.3e} < 0")
@@ -167,7 +167,7 @@ def _forms(ch: ChannelPair, k: np.ndarray) -> tuple[tuple, tuple]:
     kh, kg = k @ ch.h, k @ ch.g
     hh = float(np.vdot(ch.h, kh).real)
     gg = float(np.vdot(ch.g, kg).real)
-    if np.array_equal(ch.h, ch.g):
+    if ch._h_is_g:
         return (hh, gg, complex(hh)), (gg, hh, complex(gg))
     return (hh, gg, complex(np.vdot(ch.g, kh))), (gg, hh, complex(np.vdot(ch.h, kg)))
 
@@ -237,7 +237,7 @@ def _rank_one_bounds(ch: ChannelPair, rho: complex) -> tuple[np.ndarray, np.ndar
     """
     # columns: coordinates of h and g in the orthonormal basis (q1, q2) of
     # the channel's span plane, which depend only on the Gram data
-    nu, nw, _, _, c, s, _ = ch.plane_hg
+    nu, nw, _, _, c, s = ch.plane_hg
     r = np.array([[nu, nw * c], [0.0, nw * s]])
     theta = np.linspace(0.0, 0.5 * math.pi, RANK_ONE_ANGLES)
     phi = np.linspace(0.0, 2.0 * math.pi, RANK_ONE_PHASES, endpoint=False)

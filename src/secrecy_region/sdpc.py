@@ -31,6 +31,14 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
+def _finite(k) -> np.ndarray:
+    """k as a complex array, checked first: a NaN passes every PSD and trace test."""
+    k = np.asarray(k, dtype=complex)
+    if not np.isfinite(k).all():
+        raise CovarianceInvalid("covariance entries must be finite")
+    return k
+
+
 def _read_only(k: np.ndarray) -> np.ndarray:
     k.flags.writeable = False
     return k
@@ -50,7 +58,7 @@ class CovariancePair:
     """
 
     def __init__(self, k_u1: np.ndarray, k_u2: np.ndarray):
-        k_u1, k_u2 = linalg.hermitize(k_u1), linalg.hermitize(k_u2)
+        k_u1, k_u2 = linalg.hermitize(_finite(k_u1)), linalg.hermitize(_finite(k_u2))
         if k_u1.shape != k_u2.shape:
             raise CovarianceInvalid(
                 f"covariance shapes differ: {k_u1.shape} vs {k_u2.shape}"
@@ -62,7 +70,7 @@ class CovariancePair:
 
     def _dense(self, index: int) -> np.ndarray:
         weight, v = self._factors[index]
-        return _read_only(weight * np.outer(v, v.conj()))
+        return _read_only(weight * (v[:, None] * v.conj()))
 
     @cached_property
     def k_u1(self) -> np.ndarray:

@@ -79,16 +79,17 @@ class TestChannelPair:
         assert a != b
 
     def test_gram_work_runs_once(self, monkeypatch):
-        # the fading-ensemble op's calls on one channel build its two span
-        # planes once and solve its spectrum once
-        builds = []
-        span_plane = linalg.span_plane
+        # the fading-ensemble op's calls on one channel normalize h and g
+        # once, build its two span planes once from those directions, never
+        # re-validate through span_plane, and solve its spectrum once
+        calls = []
+        for name in ("_direction", "_plane", "span_plane"):
 
-        def counted(u, w):
-            builds.append(1)
-            return span_plane(u, w)
+            def counted(*args, _name=name, _fn=getattr(linalg, name)):
+                calls.append(_name)
+                return _fn(*args)
 
-        monkeypatch.setattr(linalg, "span_plane", counted)
+            monkeypatch.setattr(linalg, name, counted)
         ch = make(*_oracles.random_channel(np.random.default_rng(8), 4, 10.0, "complex"))
         spec = spectrum(ch)
         is_secrecy_feasible(ch)
@@ -100,9 +101,27 @@ class TestChannelPair:
             verify_identity_eq9(ch, a, spec)
             sato_f1(ch, rho, cov.total)
             sato_f2(ch, rho, cov.total)
-        assert len(builds) == 2
+        assert sorted(calls) == ["_direction", "_direction", "_plane", "_plane"]
         assert spectrum(ch) is spec
         assert not spec.e1.flags.writeable and not spec.e2.flags.writeable
+
+    def test_planes_match_span_plane_bitwise(self):
+        # the channel builds both planes from one pair of directions; they
+        # must carry the bits of the checked linalg.span_plane, field by field
+        rng = np.random.default_rng(81)
+        pairs = []
+        for t in (2, 3, 8):
+            h, g, _ = _oracles.random_channel(rng, t, 1.0, "complex")
+            zero = np.zeros(t, dtype=complex)
+            pairs += [(h, g), (zero, g), (h, zero), (zero, zero), (h, h), (h, 2.0 * h),
+                      (h, -0.25 * h), (1e150 * h, 1e150 * g), (1e-150 * h, 1e-150 * g)]
+        for h, g in pairs:
+            ch = make(h, g)
+            for got, want in ((ch.plane_hg, linalg.span_plane(h, g)),
+                              (ch.plane_gh, linalg.span_plane(g, h))):
+                assert (got.nu, got.nw, got.c, got.s) == (want.nu, want.nw, want.c, want.s)
+                assert np.array_equal(got.q1, want.q1) and np.array_equal(got.q2, want.q2)
+                assert not got.q1.flags.writeable and not got.q2.flags.writeable
 
     def test_point_api_builds_no_dense_covariance(self, monkeypatch):
         # the fading-ensemble op's sdpc calls work on the covariance

@@ -94,6 +94,14 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--channel", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_out_csv_is_rejected(self, capsys, tmp_path):
+        # spectrum has no table to write: the flag is a parser error
+        csv_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "spectrum", *EXAMPLE_FLAGS, "--out-csv", str(csv_path))
+        assert code == 2 and out == ""
+        assert parse_error(err)["code"] == "config"
+        assert not csv_path.exists()
+
     def test_unknown_command_is_config_error(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
@@ -189,6 +197,15 @@ class TestSdpc:
     def test_alpha_out_of_range(self, capsys):
         code, _, err = run(capsys, "sdpc", *EXAMPLE_FLAGS, "--alpha", "1.5")
         assert code == 2
+
+    def test_out_csv_needs_grid(self, capsys, tmp_path):
+        csv_path = tmp_path / "y.csv"
+        code, out, err = run(
+            capsys, "sdpc", *EXAMPLE_FLAGS, "--alpha", "0.3", "--out-csv", str(csv_path)
+        )
+        assert code == 2 and out == ""
+        assert "--grid" in parse_error(err)["message"]
+        assert not csv_path.exists()
 
     def test_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sdpc.csv"

@@ -58,6 +58,15 @@ class TestQuadraticForm:
             )
 
 
+class TestAsComplexVector:
+    @pytest.mark.parametrize(
+        "bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 0.0)]
+    )
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            linalg.as_complex_vector([1.0, bad])
+
+
 class TestPhaseNormalize:
     def test_largest_component_real_nonnegative(self):
         rng = np.random.default_rng(11)
@@ -282,6 +291,27 @@ class TestTopRankOneEig:
                 assert one.lam.tobytes() == batch.lam[i].tobytes()
                 assert one.gap.tobytes() == batch.gap[i].tobytes()
                 assert one.vec.tobytes() == batch.vec[i].tobytes()
+
+    @pytest.mark.parametrize("t", [2, 3, 8])
+    def test_fallback_vector_is_orthogonal_unit(self, t):
+        # with no null vector on the span (parallel u, w with pa < pb, or
+        # u = 0) the top is the complement's 1: a unit vector orthogonal to
+        # the common direction, with the same bits for floats and in a batch
+        # whose last row (b = 0) has a null vector
+        rng = np.random.default_rng(200 + t)
+        h, _ = random_pair(rng, t)
+        a = np.array([1.0, 0.5, 3.0, 2.0])
+        b = np.array([1.0, 0.5, 3.0, 0.0])
+        for u, w in ((h, 2.0 * h), (0.5j * h, h), (np.zeros(t), h)):
+            plane = linalg.span_plane(u, w)
+            batch = linalg.plane_top(plane, a, b)
+            for i in range(a.size):
+                one = linalg.plane_top(plane, float(a[i]), float(b[i]))
+                assert one.vec.tobytes() == batch.vec[i].tobytes()
+                if i < 3:
+                    assert one.lam == 1.0
+                    assert abs(np.linalg.norm(one.vec) - 1.0) <= 1e-15
+                    assert abs(np.vdot(w, one.vec)) <= 1e-15 * np.linalg.norm(w)
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):

@@ -130,6 +130,17 @@ class TestClosedForm:
         with pytest.raises(CovarianceInvalid):
             sato_f1(example_channel, 0.1, 20.0 * np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "bad", [z for x in (math.nan, math.inf, -math.inf) for z in (complex(x, 0), complex(0, x))]
+    )
+    def test_non_finite_covariance_rejected(self, example_channel, bad):
+        # a NaN passes every PSD and trace comparison: reject it up front
+        k = 2.0 * np.eye(2, dtype=complex)
+        k[0, 1] = k[1, 0] = bad
+        for fn in (sato_f1, sato_f2, evaluate):
+            with pytest.raises(CovarianceInvalid, match="finite"):
+                fn(example_channel, 0.1, k)
+
     @pytest.mark.parametrize("power", [1e8, 1e10, 1e12])
     def test_own_covariances_accepted_at_high_power(self, power):
         rng = np.random.default_rng(int(math.log10(power)))

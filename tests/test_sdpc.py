@@ -66,6 +66,17 @@ class TestSdpcRates:
         with pytest.raises(CovarianceInvalid):
             sdpc_rates(example_channel, CovariancePair(bad, np.zeros((2, 2))))
 
+    @pytest.mark.parametrize(
+        "bad", [z for x in (np.nan, np.inf, -np.inf) for z in (complex(x, 0), complex(0, x))]
+    )
+    def test_rejects_non_finite_entries(self, example_channel, bad):
+        eye = np.eye(2, dtype=complex)
+        k = 2.0 * eye
+        k[0, 1] = k[1, 0] = bad
+        for pair in ((k, eye), (eye, k), (np.diag([bad, 1.0]), eye)):
+            with pytest.raises(CovarianceInvalid, match="finite"):
+                sdpc_rates(example_channel, CovariancePair(*pair))
+
     def test_rejects_trace_overrun(self, example_channel):
         k = np.eye(2, dtype=complex) * 6.0  # total trace 24 > 10
         with pytest.raises(CovarianceInvalid):
