@@ -365,9 +365,10 @@ def cmd_audit(args) -> int:
     report = sato.audit_inner_outer(ch, _sweep_from_args(args))
     _write_outputs(args, output.dump_json(report.to_dict()), echo=True)
     if not report.containment_ok:
+        rho, alpha, user = report.containment_worst_at
         raise AuditFailure(
-            f"containment violated: worst witness margin "
-            f"{report.containment_worst:.3e}"
+            f"containment violated: worst witness margin {report.containment_worst:.3e} "
+            f"at rho = {rho:.6g}, alpha = {alpha:.6g}, user {user}"
         )
     if report.tightness_evaluated:
         # the user-2 corner is tight only under a real coupling; with a

@@ -225,8 +225,10 @@ def plane_top(plane: SpanPlane, a, b) -> RankOneTop:
     if xp.any((a < 0.0) | (b < 0.0)):
         raise ValueError("pencil weights must be nonnegative")
 
-    pa = a * nu**2
-    pb = b * nw**2
+    try:  # the square of a Python-float norm above ~1.3e154 overflows
+        pa, pb = a * nu**2, b * nw**2
+    except OverflowError:
+        raise NumericsError("pencil weight overflows") from None
     sigma = xp.maximum(pa, pb)
     if not xp.all(xp.isfinite(sigma)):
         raise NumericsError("pencil weight overflows")

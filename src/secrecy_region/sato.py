@@ -18,6 +18,7 @@ boundary.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,11 +86,13 @@ class AuditReport:
 
     Gaps are in unscaled log2 units (mode scaling cancels in the
     comparison). containment_worst is the most negative witness margin
-    seen across the whole rho grid (>= -tol when the audit passes).
+    seen across the whole rho grid (>= -tol when the audit passes), and
+    containment_worst_at = (rho, alpha, user 1 or 2) is where it first occurs.
     """
 
     containment_ok: bool
     containment_worst: float
+    containment_worst_at: tuple[complex, float, int]
     rho_star: complex | None
     tightness_evaluated: bool
     min_gap_f1: float
@@ -99,9 +102,12 @@ class AuditReport:
     hull_size: int
 
     def to_dict(self) -> dict:
+        rho, alpha, user = self.containment_worst_at
+        where = {"rho": [rho.real, rho.imag], "alpha": alpha, "user": user}
         return {
             "containment_ok": self.containment_ok,
             "containment_worst": self.containment_worst,
+            "containment_worst_at": where,
             "min_gap_f1": self.min_gap_f1,
             "min_gap_f2": self.min_gap_f2,
             "rho_star": (
@@ -140,17 +146,26 @@ def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _bound_values(forms: tuple, rho: complex):
-    """Closed-form minimum over the combining coefficient, raw log2 units.
+def _bound_ratio(shifted: tuple, rho, gap):
+    """j / (1 - |rho|^2), the argument of the bound's log2: the closed-form minimum
+    over the combining coefficient is j = own + 1 - |cross + rho|^2 / (other + 1),
+    for shifted = (own + 1, other + 1, cross), and gap = 1 - |rho|^2 (broadcast)."""
+    own1, other1, cross = shifted
+    return (own1 - np.abs(cross + rho) ** 2 / other1) / gap
 
-    forms = (own, other, cross), scalars or arrays, where for f1
-    own = h^H K h, other = g^H K g and cross = g^H K h.
-    """
+
+def _bound_log(ratio):
+    """A bound in raw log2 units from its `_bound_ratio`, which is >= 1 analytically;
+    the clamp at 0 absorbs the last-ulp violations of cancellation near |rho| -> 1."""
+    return np.maximum(np.log2(ratio), 0.0)
+
+
+def _bound_values(forms: tuple, rho: complex):
+    """The bound in raw log2 units from forms = (own, other, cross), where
+    for f1 own = h^H K h, other = g^H K g and cross = g^H K h."""
     own, other, cross = forms
-    j = own + 1.0 - np.abs(cross + rho) ** 2 / (other + 1.0)
-    # j >= 1 - |rho|^2 analytically; clamp the last-ulp violations that
-    # cancellation near |rho| -> 1 can produce (bounds are never negative)
-    return np.maximum(np.log2(j / (1.0 - abs(rho) ** 2)), 0.0)
+    shifted = (own + 1.0, other + 1.0, cross)
+    return _bound_log(_bound_ratio(shifted, rho, 1.0 - abs(rho) ** 2))
 
 
 def _f_raw(
@@ -306,7 +321,9 @@ def outer_region(ch: ChannelPair, rho: complex) -> RegionBoundary:
     )
 
 
-def _rho_grid() -> list[complex]:
+@functools.cache
+def _rho_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The audit's couplings and each one's 1 - |rho|^2, as read-only arrays."""
     grid: list[complex] = [0j]
     radius = RHO_RADIUS_STEP
     while radius < 1.0 - RHO_GRID_EDGE:
@@ -314,7 +331,19 @@ def _rho_grid() -> list[complex]:
             ang = 2.0 * math.pi * k / RHO_ANGLES
             grid.append(radius * cmath.exp(1j * ang))
         radius += RHO_RADIUS_STEP
-    return grid
+    rho = np.array(grid)
+    gap = np.array([1.0 - abs(r) ** 2 for r in grid])
+    rho.flags.writeable = gap.flags.writeable = False
+    return rho, gap
+
+
+def _min_ratio(shifted: tuple, rho: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Per vertex, the least `_bound_ratio` over the couplings, in blocks
+    of `RHO_ANGLES` couplings: no array spans the whole grid."""
+    blocks = (slice(i, i + RHO_ANGLES) for i in range(0, rho.size, RHO_ANGLES))
+    return functools.reduce(np.minimum, (
+        _bound_ratio(shifted, rho[b, None], gap[b, None]).min(axis=0) for b in blocks
+    ))
 
 
 def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> AuditReport:
@@ -336,27 +365,27 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
     boundary = capacity_region(ch, sweep or AUDIT_SWEEP)
 
     # quadratic forms of K_X(alpha) for every swept parameter, as arrays
-    # (the audit loops are vectorized over the sweep)
+    # (the audit is vectorized over the sweep)
     alphas = boundary.params
     forms1, forms2 = _kx_forms(ch, spec, alphas)
 
-    def bounds_at(rho: complex, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            _bound_values(tuple(f[idx] for f in forms1), rho),
-            _bound_values(tuple(f[idx] for f in forms2), rho),
-        )
-
     # every hull vertex is a swept corner or an intercept (alpha 0 or 1),
     # and the sweep holds both ends
-    hull_idx = np.searchsorted(alphas, boundary.hull_params)
-    hull_r1, hull_r2 = boundary.hull[:, 0], boundary.hull[:, 1]
-
-    rho_grid = _rho_grid()
-    worst = math.inf
-    for rho in rho_grid:
-        f1, f2 = bounds_at(rho, hull_idx)
-        m = min(float((scale * f1 - hull_r1).min()), float((scale * f2 - hull_r2).min()))
-        worst = min(worst, m)
+    idx = np.searchsorted(alphas, boundary.hull_params)
+    rho, gap = _rho_grid()
+    shifted = [(o[idx] + 1.0, t[idx] + 1.0, c[idx]) for o, t, c in (forms1, forms2)]
+    # log2, its clamp, the scale and the subtracted rate are nondecreasing,
+    # so each vertex's least ratio over the grid gives its least margin
+    margins = np.stack([
+        scale * _bound_log(_min_ratio(s, rho, gap)) - boundary.hull[:, user]
+        for user, s in enumerate(shifted)
+    ])
+    # where: the first worst (user, vertex), then its first worst coupling
+    user, vertex = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = float(margins[user, vertex])
+    bounds = _bound_log(_bound_ratio(tuple(f[vertex] for f in shifted[user]), rho, gap))
+    alpha = float(boundary.hull_params[vertex])
+    worst_at = complex(rho[np.argmin(bounds)]), alpha, int(user) + 1
     containment_ok = worst >= -CONTAINMENT_TOL
 
     # tightness at rho*
@@ -367,27 +396,25 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
         rho_star = None
     tight_ok = rho_star is not None and abs(rho_star) <= 1.0 - RHO_GRID_EDGE
     corner_gaps: dict[str, float] = {}
+    min_gap_f1 = min_gap_f2 = 0.0
     if tight_ok:
-        f1, f2 = bounds_at(rho_star, np.arange(alphas.size))
-        gaps1 = f1 - boundary.points[:, 0] / scale
-        gaps2 = f2 - boundary.points[:, 1] / scale
+        gaps1 = _bound_values(forms1, rho_star) - boundary.points[:, 0] / scale
+        gaps2 = _bound_values(forms2, rho_star) - boundary.points[:, 1] / scale
         min_gap_f1 = float(gaps1.min())
         min_gap_f2 = float(gaps2.min())
         for i, tag in ((0, "alpha0"), (-1, "alpha1")):
             corner_gaps[f"{tag}_f1"] = float(gaps1[i])
             corner_gaps[f"{tag}_f2"] = float(gaps2[i])
-    else:
-        min_gap_f1 = 0.0
-        min_gap_f2 = 0.0
 
     return AuditReport(
         containment_ok=containment_ok,
         containment_worst=worst,
+        containment_worst_at=worst_at,
         rho_star=rho_star,
         tightness_evaluated=tight_ok,
         min_gap_f1=min_gap_f1,
         min_gap_f2=min_gap_f2,
         corner_gaps=corner_gaps,
-        rho_grid_size=len(rho_grid),
+        rho_grid_size=rho.size,
         hull_size=len(boundary.hull),
     )

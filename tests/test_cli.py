@@ -315,6 +315,30 @@ class TestAudit:
         assert json.loads(out)["containment_ok"] is False
         assert parse_error(err)["code"] == "audit"
 
+    def test_violation_message_names_the_location(self, capsys, inflated_hull):
+        code, out, err = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "33")
+        where = json.loads(out)["containment_worst_at"]
+        rho = complex(*where["rho"])
+        assert code == 5
+        assert parse_error(err)["message"].endswith(
+            f"at rho = {rho:.6g}, alpha = {where['alpha']:.6g}, user {where['user']}"
+        )
+
+
+class TestHugeChannel:
+    @pytest.mark.parametrize(
+        "command",
+        [["spectrum"], ["region"], ["outer"], ["sdpc", "--alpha", "0.3"], ["audit"]],
+        ids=lambda c: c[0],
+    )
+    def test_overflowing_norm_exits_3(self, capsys, command):
+        flags = ["--h", "1e200,0", "--g", "1e200,1e199", "--power", "1e-300", "--mode", "real"]
+        code, out, err = run(capsys, *command, *flags)
+        assert code == 3 and out == ""
+        error = parse_error(err)  # the whole of stderr is the error JSON
+        assert error["code"] == "numerics" and error["exit_code"] == 3
+        assert "Traceback" not in err
+
 
 class TestReproduceFig2:
     def test_default_run(self, capsys, tmp_path, monkeypatch):

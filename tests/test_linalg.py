@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from secrecy_region import linalg
+from secrecy_region import ChannelPair, linalg, spectrum
 from secrecy_region.errors import DimensionMismatch, NumericsError
 
 import _oracles
@@ -316,6 +316,19 @@ class TestTopRankOneEig:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             linalg.top_rank_one_eig(np.ones(2), np.ones(2), -1.0, 1.0)
+
+    @pytest.mark.parametrize("t", [2, 8])
+    def test_huge_norm_raises_on_both_paths(self, t):
+        # |h|^2 overflows a Python float; the weight check must see it
+        h = np.zeros(t)
+        g = np.zeros(t)
+        h[0], g[0], g[1] = 2e154, 2e154, 2e153
+        ch = ChannelPair(h, g, 1e-300, "real")
+        with pytest.raises(NumericsError, match="pencil weight overflows"):
+            spectrum(ch)
+        for a in (1e-300, np.array([1e-300, 0.0])):
+            with pytest.raises(NumericsError, match="pencil weight overflows"):
+                linalg.plane_top(ch.plane_hg, a, a)
 
     def test_nan_weight_raises_on_both_paths(self):
         plane = linalg.span_plane(np.ones(2), np.array([1.0, 0.0]))

@@ -1,6 +1,8 @@
 """Closed-form outer-bound minimizations, outer region and the audit."""
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +355,46 @@ class TestOuterRegion:
             assert geometry.hausdorff_distance(base, rotated) <= 1e-10
 
 
+def polar_rho_grid():
+    """The audit's coupling grid as Python complex numbers: 0, then
+    `RHO_ANGLES` angles on each radius step."""
+    grid = [0j]
+    radius = sato.RHO_RADIUS_STEP
+    while radius < 1.0 - sato.RHO_GRID_EDGE:
+        for k in range(sato.RHO_ANGLES):
+            grid.append(radius * cmath.exp(1j * (2.0 * math.pi * k / sato.RHO_ANGLES)))
+        radius += sato.RHO_RADIUS_STEP
+    return grid
+
+
+def per_rho_worst(ch, sweep):
+    """The containment margin by its definition: one `_bound_values` call
+    per coupling and user on the hull's forms, then the least of
+    scale * f - r over couplings, users and vertices."""
+    boundary = sato.capacity_region(ch, sweep)
+    forms = sato._kx_forms(ch, spectrum(ch), boundary.params)
+    idx = np.searchsorted(boundary.params, boundary.hull_params)
+    scale = rate_scale(ch)
+    worst = math.inf
+    for rho in polar_rho_grid():
+        for user, user_forms in enumerate(forms):
+            f = sato._bound_values(tuple(x[idx] for x in user_forms), rho)
+            worst = min(worst, float((scale * f - boundary.hull[:, user]).min()))
+    return worst
+
+
+def audit_cases():
+    rng = np.random.default_rng(83)
+    for t in (2, 3, 8):
+        for mode in ("real", "complex"):
+            for p in (0.0, 1e-3, 10.0, 1e10):
+                ch = make(*_oracles.random_channel(rng, t, p, mode), mode)
+                yield pytest.param(ch, id=f"t{t}-{mode}-P{p:g}")
+    h, g, _ = _oracles.random_channel(rng, 3, 1.0, "complex")
+    yield pytest.param(make(h, h, 10.0), id="h=g")
+    yield pytest.param(make(h, np.zeros(3), 10.0), id="g=0")
+
+
 class TestAudit:
     def test_identical_channels_vacuous(self):
         report = audit_inner_outer(make([1, 0], [1, 0]))
@@ -398,6 +440,65 @@ class TestAudit:
             gap2 = (bounds.f2 - rates.r2) / scale
             assert abs(report.corner_gaps[f"{tag}_f1"] - gap1) <= 1e-9
             assert abs(report.corner_gaps[f"{tag}_f2"] - gap2) <= 1e-9
+
+    @pytest.mark.parametrize("ch", list(audit_cases()))
+    def test_blocked_pass_is_the_per_rho_definition(self, ch):
+        # bit for bit: log2, the clamp at 0, the rate scale and the
+        # subtracted rate are nondecreasing, so the least ratio gives the
+        # least margin
+        sweep = SweepConfig(grid_points=65, sagitta_tol=1e-5, refine=False)
+        report = audit_inner_outer(ch, sweep)
+        assert report.containment_worst == per_rho_worst(ch, sweep)
+
+    def test_blocked_pass_with_a_violation(self, example_channel, inflated_hull):
+        report = audit_inner_outer(example_channel)
+        assert report.containment_worst < 0.0
+        assert report.containment_worst == per_rho_worst(example_channel, sato.AUDIT_SWEEP)
+
+    def test_rho_grid_keeps_its_order_and_bits(self):
+        rho, gap = sato._rho_grid()
+        grid = polar_rho_grid()
+        assert rho.tolist() == grid and len(grid) == 145
+        assert gap.tolist() == [1.0 - abs(r) ** 2 for r in grid]
+
+    def test_worst_location_reproduces_the_margin(self, example_channel, inflated_hull):
+        report = audit_inner_outer(example_channel)
+        rho, alpha, user = report.containment_worst_at
+        assert rho in polar_rho_grid() and user in (1, 2)
+        hull = sato.capacity_region(example_channel, sato.AUDIT_SWEEP)
+        vertex = np.flatnonzero(hull.hull_params == alpha)[0]
+        forms = sato._kx_forms(example_channel, spectrum(example_channel), np.array([alpha]))
+        f = sato._bound_values(forms[user - 1], rho)[0]
+        margin = rate_scale(example_channel) * f - hull.hull[vertex, user - 1]
+        assert margin == report.containment_worst
+        where = report.to_dict()["containment_worst_at"]
+        assert where == {"rho": [rho.real, rho.imag], "alpha": alpha, "user": user}
+
+    def test_worst_location_at_zero_power(self):
+        # every margin is 0: the first coupling and user 1 win the tie
+        report = audit_inner_outer(make([1.5, 0], [1.801, 0.872], 0.0, "real"))
+        assert report.containment_worst == 0.0
+        assert report.containment_worst_at[0] == 0j
+        assert report.containment_worst_at[2] == 1
+
+    def test_audit_allocates_little(self):
+        # the benchmark's 8-antenna Gram data: 2,385 hull vertices on the
+        # default sweep; one 145 x 2,385 pass over the whole grid peaks at
+        # about 8.4 MiB, the blocked pass at about 1.7 MiB
+        t = 8
+        h = np.zeros(t, dtype=complex)
+        h[0] = 1.0
+        g = np.zeros(t, dtype=complex)
+        g[0], g[1] = math.sqrt(1.0 / t) * cmath.exp(1j), math.sqrt(1.0 - 1.0 / t)
+        ch = make(h, g, 10.0)
+        tracemalloc.start()
+        try:
+            report = audit_inner_outer(ch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.hull_size == 2385
+        assert peak < 3 * 2**20
 
     def test_fault_injection_breaks_containment(self, example_channel, inflated_hull):
         cfg = SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False)
