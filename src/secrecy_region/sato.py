@@ -18,7 +18,6 @@ boundary.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ from .sdpc import PSD_TOL, TRACE_TOL, _finite
 #: evaluations require |rho| <= 1 - RHO_EDGE (the 1-|rho|^2 denominator)
 RHO_EDGE = 1e-9
 
-#: |rho| beyond which grid/tightness couplings are excluded from evaluation
+#: |rho| beyond which `outer_region` and the tightness pass reject a coupling
 RHO_GRID_EDGE = 1e-6
 
 
@@ -65,10 +64,6 @@ OUTER_SWEEP = SweepConfig(
     grid_points=129, sagitta_tol=1e-5, segment_tol=2.5e-3, refine=False
 )
 
-#: audit rho grid: 0 plus `RHO_ANGLES` angles on each radius step
-RHO_RADIUS_STEP = 0.1
-RHO_ANGLES = 16
-
 #: audit tolerances (raw log2 units) on the worst witness margin and on
 #: the asserted corner gaps
 CONTAINMENT_TOL = 1e-6
@@ -86,8 +81,11 @@ class AuditReport:
 
     Gaps are in unscaled log2 units (mode scaling cancels in the
     comparison). containment_worst is the most negative witness margin
-    seen across the whole rho grid (>= -tol when the audit passes), and
-    containment_worst_at = (rho, alpha, user 1 or 2) is where it first occurs.
+    over every coupling |rho| < 1 (>= -tol when the audit passes), and
+    containment_worst_at = (rho, alpha, user 1 or 2) is where it first
+    occurs (|rho| = 1 when h is parallel to g). minimizer_spread is the
+    largest distance of the user-1 (user-2) minimizers from rho* (its
+    conjugate) where witness forms are nonzero, or None without rho*.
     """
 
     containment_ok: bool
@@ -95,10 +93,11 @@ class AuditReport:
     containment_worst_at: tuple[complex, float, int]
     rho_star: complex | None
     tightness_evaluated: bool
+    tightness_skipped: str | None
     min_gap_f1: float
     min_gap_f2: float
     corner_gaps: dict[str, float]
-    rho_grid_size: int
+    minimizer_spread: tuple[float, float] | None
     hull_size: int
 
     def to_dict(self) -> dict:
@@ -116,8 +115,9 @@ class AuditReport:
                 else None
             ),
             "tightness_evaluated": self.tightness_evaluated,
+            "tightness_skipped": self.tightness_skipped,
             "corner_gaps": dict(self.corner_gaps),
-            "rho_grid_size": self.rho_grid_size,
+            "minimizer_spread": self.minimizer_spread,
             "hull_size": self.hull_size,
         }
 
@@ -146,26 +146,21 @@ def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _bound_ratio(shifted: tuple, rho, gap):
-    """j / (1 - |rho|^2), the argument of the bound's log2: the closed-form minimum
-    over the combining coefficient is j = own + 1 - |cross + rho|^2 / (other + 1),
-    for shifted = (own + 1, other + 1, cross), and gap = 1 - |rho|^2 (broadcast)."""
-    own1, other1, cross = shifted
-    return (own1 - np.abs(cross + rho) ** 2 / other1) / gap
-
-
 def _bound_log(ratio):
-    """A bound in raw log2 units from its `_bound_ratio`, which is >= 1 analytically;
-    the clamp at 0 absorbs the last-ulp violations of cancellation near |rho| -> 1."""
+    """A bound in raw log2 units from the argument of its log2, which is >= 1
+    analytically; the clamp at 0 absorbs the last-ulp violations of
+    cancellation near |rho| -> 1."""
     return np.maximum(np.log2(ratio), 0.0)
 
 
 def _bound_values(forms: tuple, rho: complex):
     """The bound in raw log2 units from forms = (own, other, cross), where
-    for f1 own = h^H K h, other = g^H K g and cross = g^H K h."""
+    for f1 own = h^H K h, other = g^H K g and cross = g^H K h: the
+    closed-form minimum over the combining coefficient, own + 1 -
+    |cross + rho|^2 / (other + 1), over 1 - |rho|^2."""
     own, other, cross = forms
-    shifted = (own + 1.0, other + 1.0, cross)
-    return _bound_log(_bound_ratio(shifted, rho, 1.0 - abs(rho) ** 2))
+    j = own + 1.0 - np.abs(cross + rho) ** 2 / (other + 1.0)
+    return _bound_log(j / (1.0 - abs(rho) ** 2))
 
 
 def _f_raw(
@@ -223,11 +218,12 @@ def tightness_rho(
 ) -> complex:
     """The coupling rho* = (g^H e1)/(h^H e1) that closes the bound.
 
-    Raises DegeneratePivot when h^H e1 is numerically zero. |rho*| <= 1 is
-    guaranteed by lambda1 >= 1; it is still verified before returning.
+    Raises DegeneratePivot when |h^H e1| <= 1e-12 |h|, a threshold that
+    scales with the channel. |rho*| <= 1 is guaranteed by lambda1 >= 1;
+    it is still verified before returning.
     """
     pivot = complex(np.vdot(h, spec.e1))
-    if abs(pivot) <= 1e-12:
+    if abs(pivot) <= 1e-12 * math.sqrt(np.vdot(h, h).real):
         raise DegeneratePivot(f"|h^H e1| = {abs(pivot):.3e} is too small")
     rho = complex(np.vdot(g, spec.e1)) / pivot
     if abs(rho) > 1.0 + 1e-9:
@@ -321,39 +317,31 @@ def outer_region(ch: ChannelPair, rho: complex) -> RegionBoundary:
     )
 
 
-@functools.cache
-def _rho_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The audit's couplings and each one's 1 - |rho|^2, as read-only arrays."""
-    grid: list[complex] = [0j]
-    radius = RHO_RADIUS_STEP
-    while radius < 1.0 - RHO_GRID_EDGE:
-        for k in range(RHO_ANGLES):
-            ang = 2.0 * math.pi * k / RHO_ANGLES
-            grid.append(radius * cmath.exp(1j * ang))
-        radius += RHO_RADIUS_STEP
-    rho = np.array(grid)
-    gap = np.array([1.0 - abs(r) ** 2 for r in grid])
-    rho.flags.writeable = gap.flags.writeable = False
-    return rho, gap
-
-
-def _min_ratio(shifted: tuple, rho: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """Per vertex, the least `_bound_ratio` over the couplings, in blocks
-    of `RHO_ANGLES` couplings: no array spans the whole grid."""
-    blocks = (slice(i, i + RHO_ANGLES) for i in range(0, rho.size, RHO_ANGLES))
-    return functools.reduce(np.minimum, (
-        _bound_ratio(shifted, rho[b, None], gap[b, None]).min(axis=0) for b in blocks
-    ))
+def _least_ratio(forms: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per witness, the least argument of `_bound_values`' log2 over all
+    |rho| < 1, and its coupling. For x = cross it is least along rho =
+    r x/|x|, at the root r = 2|x|/s in [0, 1) of |x| r^2 - c r + |x| = 0,
+    where c = own + other + (own other - |x|^2) >= 2|x| and s = c +
+    sqrt(c^2 - 4|x|^2): rho = 2x/s (0 if all forms are 0, so s = 0), and
+    the least argument is (2 + s)/(2 (other + 1)); for h = g it is 1, met
+    only as |rho| -> 1."""
+    own, other, cross = forms
+    mag = np.abs(cross)
+    c = own + other + (own * other - mag**2)
+    s = c + np.sqrt(np.maximum(c - 2.0 * mag, 0.0) * (c + 2.0 * mag))
+    rho = np.divide(2.0 * cross, s, out=np.zeros_like(cross), where=s > 0.0)
+    return (2.0 + s) / (2.0 * (other + 1.0)), rho
 
 
 def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> AuditReport:
     """Containment and tightness audit of the outer bound.
 
     Containment: every hull vertex of the achievable region must sit
-    inside the outer region for every rho on a polar grid. Membership is
+    inside the outer region for every coupling |rho| < 1. Membership is
     certified with the vertex's own boundary covariance K_X(alpha) as the
     witness rectangle, which the converse guarantees must cover it; any
-    violation is an implementation bug.
+    violation is an implementation bug. The least witness bound over all
+    couplings has a closed form (`_least_ratio`), so margins are exact.
 
     Tightness: at rho* with K_X(alpha) = K_U1 + K_U2, report the per-alpha
     gaps between the bounds and the achievable rates (raw log2 units).
@@ -370,34 +358,36 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
     forms1, forms2 = _kx_forms(ch, spec, alphas)
 
     # every hull vertex is a swept corner or an intercept (alpha 0 or 1),
-    # and the sweep holds both ends
+    # and the sweep holds both ends; log2, its clamp, the scale and the
+    # subtracted rate are nondecreasing, so the least ratio is the least margin
     idx = np.searchsorted(alphas, boundary.hull_params)
-    rho, gap = _rho_grid()
-    shifted = [(o[idx] + 1.0, t[idx] + 1.0, c[idx]) for o, t, c in (forms1, forms2)]
-    # log2, its clamp, the scale and the subtracted rate are nondecreasing,
-    # so each vertex's least ratio over the grid gives its least margin
+    ratios, couplings = zip(*(
+        _least_ratio(tuple(f[idx] for f in forms)) for forms in (forms1, forms2)
+    ))
     margins = np.stack([
-        scale * _bound_log(_min_ratio(s, rho, gap)) - boundary.hull[:, user]
-        for user, s in enumerate(shifted)
+        scale * _bound_log(ratio) - boundary.hull[:, user]
+        for user, ratio in enumerate(ratios)
     ])
-    # where: the first worst (user, vertex), then its first worst coupling
+    # where: the first worst (user, vertex) and its minimizing coupling
     user, vertex = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[user, vertex])
-    bounds = _bound_log(_bound_ratio(tuple(f[vertex] for f in shifted[user]), rho, gap))
     alpha = float(boundary.hull_params[vertex])
-    worst_at = complex(rho[np.argmin(bounds)]), alpha, int(user) + 1
+    worst_at = complex(couplings[user][vertex]), alpha, int(user) + 1
     containment_ok = worst >= -CONTAINMENT_TOL
 
     # tightness at rho*
-    rho_star: complex | None
     try:
         rho_star = tightness_rho(spec, ch.h, ch.g)
     except DegeneratePivot:
         rho_star = None
-    tight_ok = rho_star is not None and abs(rho_star) <= 1.0 - RHO_GRID_EDGE
+    skipped = (
+        "degenerate_pivot" if rho_star is None
+        else "rho_star_near_unit_circle" if abs(rho_star) > 1.0 - RHO_GRID_EDGE
+        else None
+    )
     corner_gaps: dict[str, float] = {}
     min_gap_f1 = min_gap_f2 = 0.0
-    if tight_ok:
+    if skipped is None:
         gaps1 = _bound_values(forms1, rho_star) - boundary.points[:, 0] / scale
         gaps2 = _bound_values(forms2, rho_star) - boundary.points[:, 1] / scale
         min_gap_f1 = float(gaps1.min())
@@ -405,16 +395,23 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
         for i, tag in ((0, "alpha0"), (-1, "alpha1")):
             corner_gaps[f"{tag}_f1"] = float(gaps1[i])
             corner_gaps[f"{tag}_f2"] = float(gaps2[i])
+    # a witness with all forms zero is flat: it has no unique minimizer
+    live = (forms1[0] + forms1[1])[idx] > 0.0
+    spread = None if rho_star is None else tuple(
+        float(np.abs(rho[live] - target).max(initial=0.0))
+        for rho, target in zip(couplings, (rho_star, rho_star.conjugate()))
+    )
 
     return AuditReport(
         containment_ok=containment_ok,
         containment_worst=worst,
         containment_worst_at=worst_at,
         rho_star=rho_star,
-        tightness_evaluated=tight_ok,
+        tightness_evaluated=skipped is None,
+        tightness_skipped=skipped,
         min_gap_f1=min_gap_f1,
         min_gap_f2=min_gap_f2,
         corner_gaps=corner_gaps,
-        rho_grid_size=rho.size,
+        minimizer_spread=spread,
         hull_size=len(boundary.hull),
     )

@@ -162,3 +162,47 @@ def random_psd(rng: np.random.Generator, dim: int, trace: float) -> np.ndarray:
     if tr == 0.0:
         return np.zeros((dim, dim), dtype=complex)
     return k * (trace / tr)
+
+
+def sato_coupling_grid_min(
+    own_vec: np.ndarray,
+    other_vec: np.ndarray,
+    k: np.ndarray,
+    radii: int = 200,
+    angles: int = 256,
+    points: int = 41,
+    stages: int = 10,
+) -> tuple[float, complex]:
+    """Dense polar-grid search of the witness bound over the coupling.
+
+    The bound at a coupling rho, with the combining coefficient already
+    minimized, is log2 [ (d + 1 - |c + rho|^2 / (a + 1)) / (1 - |rho|^2) ]
+    for d = own^H K own, a = other^H K other and c = other^H K own. Scans
+    a radii x angles polar grid of the open unit disk, then zooms a
+    points x points Cartesian box onto the best point (stages times,
+    points outside the disk excluded). Returns (minimum, its coupling).
+    """
+    a = float(np.vdot(other_vec, k @ other_vec).real)
+    c = complex(np.vdot(other_vec, k @ own_vec))
+    d = float(np.vdot(own_vec, k @ own_vec).real)
+
+    def objective(rho: np.ndarray) -> np.ndarray:
+        gap = 1.0 - np.abs(rho) ** 2
+        vals = (d + 1.0 - np.abs(c + rho) ** 2 / (a + 1.0)) / np.where(gap > 0, gap, 1.0)
+        return np.where(gap > 0, vals, np.inf)
+
+    r = np.arange(radii) / radii
+    rho = (r[:, None] * np.exp(2j * np.pi * np.arange(angles) / angles)[None, :]).ravel()
+    vals = objective(rho)
+    best = int(vals.argmin())
+    center, value = complex(rho[best]), float(vals[best])
+    width = 2.0 / radii
+    for _ in range(stages):
+        axis = np.linspace(-width, width, points)
+        box = (center.real + axis[:, None] + 1j * (center.imag + axis[None, :])).ravel()
+        vals = objective(box)
+        best = int(vals.argmin())
+        if vals[best] < value:
+            center, value = complex(box[best]), float(vals[best])
+        width *= 3.0 / (points - 1)
+    return float(np.log2(value)), center

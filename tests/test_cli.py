@@ -32,6 +32,12 @@ ZERO_POWER_RHO_STAR = 0.5745686931
 EXAMPLE_FLAGS = ["--h", "1.5,0", "--g", "1.801,0.872", "--power", "10", "--mode", "real"]
 
 
+def scaled_example_flags(s):
+    """The example with h, g -> s h, s g and P -> P / s^2: the same rates."""
+    return ["--h", f"{1.5 * s!r},0", "--g", f"{1.801 * s!r},{0.872 * s!r}",
+            "--power", repr(10.0 / s**2), "--mode", "real"]
+
+
 class TestSpectrum:
     def test_example(self, capsys):
         code, out, err = run(capsys, "spectrum", *EXAMPLE_FLAGS)
@@ -238,6 +244,12 @@ class TestOuter:
         assert abs(payload["rho"][0] - ZERO_POWER_RHO_STAR) <= 1e-9
         assert payload["frontier"] == [[0.0, 0.0]]
 
+    @pytest.mark.parametrize("s", [1e-13, 1e-12, 1e-6, 1e6])
+    def test_scaled_example_default_rho_star(self, capsys, s):
+        code, out, _ = run(capsys, "outer", *scaled_example_flags(s))
+        assert code == 0
+        assert abs(json.loads(out)["rho"][0] - golden.RHO_STAR_TEXT) <= 1e-9
+
     def test_rho_parse_failure(self, capsys):
         code, _, err = run(capsys, "outer", *EXAMPLE_FLAGS, "--rho", "zzz")
         assert code == 2
@@ -272,6 +284,27 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["containment_ok"] is True
         assert payload["tightness_evaluated"] is False
+
+    def test_identical_channels_say_why_tightness_is_skipped(self, capsys):
+        code, out, _ = run(capsys, "audit", "--h", "1,0", "--g", "1,0", "--power", "10")
+        assert code == 0
+        assert json.loads(out)["tightness_skipped"] == "rho_star_near_unit_circle"
+
+    def test_zero_h_has_no_pivot(self, capsys):
+        code, out, _ = run(capsys, "audit", "--h", "0,0", "--g", "1,1", "--power", "10")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tightness_skipped"] == "degenerate_pivot"
+        assert payload["rho_star"] is None and payload["minimizer_spread"] is None
+
+    @pytest.mark.parametrize("s", [1e-13, 1e-12, 1e-6, 1e6])
+    def test_scaled_example_evaluates_tightness(self, capsys, s):
+        code, out, _ = run(capsys, "audit", *scaled_example_flags(s), "--grid", "65")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tightness_evaluated"] is True
+        assert payload["tightness_skipped"] is None
+        assert abs(payload["rho_star"][0] - golden.RHO_STAR_TEXT) <= 1e-9
 
     def test_zero_power_passes(self, capsys):
         flags = ["--h", "1.5,0", "--g", "1.801,0.872", "--power", "0", "--mode", "real"]
