@@ -21,6 +21,7 @@ from .errors import (
     NumericsError,
     ParamOutOfRange,
     RhoOnUnitCircle,
+    SweepTruncated,
 )
 from .linalg import (
     quadratic_form,
@@ -76,6 +77,7 @@ __all__ = [
     "RhoOnUnitCircle",
     "SatoEvaluation",
     "SweepConfig",
+    "SweepTruncated",
     "audit_inner_outer",
     "capacity_region",
     "capacity_region_beta",

@@ -128,8 +128,8 @@ def _sweep_from_args(args) -> SweepConfig | None:
         return None
     if args.grid < 2:
         raise ConfigError("--grid needs at least 2 points")
-    # an explicit grid is exact: no subdivision, no refinement
-    return SweepConfig(grid_points=args.grid, sagitta_tol=None, refine=False)
+    # an explicit grid is exact: no subdivision
+    return SweepConfig(grid_points=args.grid, sagitta_tol=None)
 
 
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:
@@ -264,18 +264,22 @@ def cmd_spectrum(args) -> int:
 
 
 def _boundary_payload(boundary) -> dict:
-    points = np.rec.fromarrays(
-        [boundary.params, boundary.points[:, 0], boundary.points[:, 1]],
-        names="param,r1_bits,r2_bits",
-    )
+    """The boundary's JSON payload; its `points` and `hull` tables are
+    formatted once and serve the CSV writer too."""
     return {
         "kind": boundary.kind,
         "r1_max_bits": boundary.r1_max,
         "r2_max_bits": boundary.r2_max,
         "hull_union_gap_bits": boundary.hull_union_gap,
-        "points": points,
-        "hull": boundary.hull,
+        "points": output.points_table(boundary),
+        "hull": output.table(boundary.hull),
     }
+
+
+def _payload_csv(payload: dict, beta_dists=None, beta_hausdorff=None) -> str:
+    return output.boundary_csv(
+        payload["points"], payload["hull"], beta_dists, beta_hausdorff
+    )
 
 
 def cmd_region(args) -> int:
@@ -296,7 +300,7 @@ def cmd_region(args) -> int:
     _write_outputs(
         args,
         output.dump_json(payload),
-        csv=lambda: output.boundary_csv(boundary, beta_dists, beta_hd),
+        csv=lambda: _payload_csv(payload, beta_dists, beta_hd),
         svg=lambda: _capacity_svg(boundary, time_sharing_region(ch)),
     )
     return EXIT_OK
@@ -312,7 +316,7 @@ def cmd_sdpc(args) -> int:
         payload = _boundary_payload(boundary)
         payload["max_identity_gap"] = max(gaps, default=0.0)
         _write_outputs(
-            args, output.dump_json(payload), csv=lambda: output.boundary_csv(boundary)
+            args, output.dump_json(payload), csv=lambda: _payload_csv(payload)
         )
         return EXIT_OK
     if args.out_csv:
@@ -343,16 +347,17 @@ def cmd_outer(args) -> int:
         rho = sato.tightness_rho(spec, ch.h, ch.g)
     boundary = sato.outer_region(ch, rho)
     hull = boundary.hull
+    frontier = output.table(hull)
     payload = {
         "rho": [rho.real, rho.imag],
         "kind": boundary.kind,
         "n_corners": len(hull),
-        "frontier": hull,
+        "frontier": frontier,
     }
     _write_outputs(
         args,
         output.dump_json(payload),
-        csv=lambda: output.boundary_csv(boundary),
+        csv=lambda: output.boundary_csv(output.points_table(boundary), frontier),
         svg=lambda: output.region_svg(
             [("outer bound frontier", geometry.staircase_polyline(hull), "solid")]
         ),
@@ -408,12 +413,12 @@ def cmd_reproduce_fig2(args) -> int:
         "csv": args.out_csv,
         "svg": args.out_svg,
     }
-    output.atomic_write_text(args.out_csv, output.boundary_csv(boundary))
+    payload = _boundary_payload(boundary)
+    output.atomic_write_text(args.out_csv, _payload_csv(payload))
     output.atomic_write_text(args.out_svg, _capacity_svg(boundary, ts))
     if args.out_json:
-        payload = _boundary_payload(boundary)
         payload.update(summary)
-        payload["time_sharing"] = ts.hull
+        payload["time_sharing"] = output.table(ts.hull)
         output.atomic_write_text(args.out_json, output.dump_json(payload))
     sys.stdout.write(output.dump_json(summary))
     return EXIT_OK

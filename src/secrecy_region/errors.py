@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class NumericsError(Exception):
@@ -27,3 +27,8 @@ class RhoOnUnitCircle(NumericsError):
 
 class DegeneratePivot(NumericsError):
     """h^H e1 is numerically zero; the tightness coupling is undefined."""
+
+
+class SweepTruncated(UserWarning):
+    """A boundary sweep stopped short of its tolerance (`MAX_POINTS` cap or
+    the parameter-width floor)."""

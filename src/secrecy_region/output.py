@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,6 @@ from .regions import RegionBoundary
 
 def fmt(x: float) -> str:
     """12-significant-digit, locale-independent number formatting."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".12g")
 
 
@@ -59,24 +58,57 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+#: the columns of a swept-points table: JSON object keys and CSV header
+POINT_KEYS = ("param", "r1_bits", "r2_bits")
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """A float table formatted once, for every writer that prints it.
+
+    texts -- the "%.12g" text of every entry, row by row
+    shape -- (rows, columns)
+    keys  -- with keys, the JSON writer gives each row as an object with
+             these keys, else as a list
+    """
+
+    texts: list[str]
+    shape: tuple[int, int]
+    keys: tuple[str, ...] | None = None
+
+
+def table(values: np.ndarray, keys: tuple[str, ...] | None = None) -> Table:
+    """An (n, k) float array formatted by one %-format call ("%.12g"
+    formats as fmt)."""
+    flat = values.ravel().tolist()
+    return Table(("%.12g " * len(flat) % tuple(flat)).split(), values.shape, keys)
+
+
+def points_table(boundary: RegionBoundary) -> Table:
+    """A boundary's swept parameters and corners, keyed by `POINT_KEYS`."""
+    return table(np.column_stack([boundary.params, boundary.points]), POINT_KEYS)
+
+
 def dump_json(data) -> str:
-    """The text of json.dumps(round12(data), indent=2) plus a newline."""
+    """The text of json.dumps(round12(data), indent=2) plus a newline; a
+    `Table` is written as its list of rows."""
     return _json_text(data, "") + "\n"
 
 
-def _json_numbers(xs) -> list[str]:
-    """json.dumps(round12(x)) for each float x, from one %-format call.
+def _json_numbers(texts: list[str]) -> list[str]:
+    """json.dumps(round12(x)) for each float x, from its "%.12g" text.
 
     "%.12g" keeps at most 12 significant digits, which a normal float reads
     back exactly, so its text is already the repr of round12(x) but for
     the ".0" repr gives integers. Positive exponents (repr writes up to
     1e16 in full), exponents starting "e-3" (these hold the subnormals)
-    and non-finite values are written from the float instead.
+    and non-finite values are written from the float instead. A plain
+    decimal, the common case, is tested first.
     """
-    texts = ("%.12g " * len(xs) % tuple(xs)).split()
     return [
-        _json_float(float(t)) if "e+" in t or "e-3" in t or "n" in t
-        else t if "." in t or "e" in t
+        t if "." in t and "e" not in t
+        else _json_float(float(t)) if "e+" in t or "e-3" in t or "n" in t
+        else t if "e" in t
         else t + ".0"
         for t in texts
     ]
@@ -92,18 +124,17 @@ def _json_float(v: float) -> str:
 def _json_text(value, pad: str) -> str:
     """One value indented as json.dumps(..., indent=2) would at depth `pad`.
 
-    Dispatches on type: floats, containers and numpy tables (the bulk of
-    every payload) are written here; other scalars go through round12 and
+    Dispatches on type: floats, tables and containers (the bulk of every
+    payload) are written here; other scalars go through round12 and
     json.dumps.
     """
     inner = pad + "  "
     sep = "\n" + inner
     if type(value) is float:
-        return _json_numbers([value])[0]
+        return _json_numbers(["%.12g" % value])[0]
+    if isinstance(value, Table):
+        return _json_table(value, pad)
     if isinstance(value, np.ndarray):
-        matrix = value.ndim == 2 and value.dtype.kind == "f"
-        if value.size and (value.dtype.names or matrix):
-            return _json_rows(value, pad)
         return _json_text(value.tolist(), pad)
     if isinstance(value, (list, tuple)):
         brackets = "[]"
@@ -123,26 +154,27 @@ def _json_text(value, pad: str) -> str:
     return brackets[0] + sep + ("," + sep).join(items) + "\n" + pad + brackets[1]
 
 
-def _json_rows(table: np.ndarray, pad: str) -> str:
-    """A 2-D float array as a list of rows, or a structured array of float
-    fields as a list of objects keyed by field name, at depth `pad`: one
+def _json_table(t: Table, pad: str) -> str:
+    """A table as a list of rows (objects with keys) at depth `pad`: one
     row template, one %-format call."""
+    rows, cols = t.shape
+    if not t.texts:
+        return _json_text([[]] * rows, pad)
     inner = pad + "  "
     sep = ",\n" + inner + "  "
-    if table.dtype.names:
-        names = table.dtype.names
-        slots = [json.dumps(k).replace("%", "%%") + ": %s" for k in names]
-        flat = np.column_stack([table[k] for k in names]).ravel()
-        brackets = "{}"
+    if t.keys is None:
+        slots, brackets = ["%s"] * cols, "[]"
     else:
-        slots, flat, brackets = ["%s"] * table.shape[1], table.ravel(), "[]"
+        slots = [json.dumps(k).replace("%", "%%") + ": %s" for k in t.keys]
+        brackets = "{}"
     row = brackets[0] + sep[1:] + sep.join(slots) + "\n" + inner + brackets[1]
-    body = (",\n" + inner).join([row] * len(table))
-    return "[\n" + inner + body % tuple(_json_numbers(flat.tolist())) + "\n" + pad + "]"
+    body = (",\n" + inner).join([row] * rows)
+    return "[\n" + inner + body % tuple(_json_numbers(t.texts)) + "\n" + pad + "]"
 
 
 def boundary_csv(
-    boundary: RegionBoundary,
+    points: Table,
+    hull: Table,
     beta_dists: np.ndarray | None = None,
     beta_hausdorff: float | None = None,
 ) -> str:
@@ -152,23 +184,26 @@ def boundary_csv(
     of its corner to the dual-sweep hull and a trailing comment carries
     the symmetric Hausdorff deviation.
     """
-    header, row = "param,r1_bits,r2_bits", "%.12g,%.12g,%.12g"
-    rows = [boundary.params, boundary.points]
+    header = ",".join(points.keys)
+    tables = [points]
     if beta_dists is not None:
-        header, row = header + ",beta_dist", row + ",%.12g"
-        rows.append(beta_dists)
-    rows = np.column_stack(rows)
-    hull = _lines("%.12g,%.12g", boundary.hull)
-    text = f"{header}\n{_lines(row, rows)}# hull\n{hull}"
+        header += ",beta_dist"
+        tables.append(table(beta_dists[:, None]))
+    text = f"{header}\n{_csv_rows(*tables)}# hull\n{_csv_rows(hull)}"
     if beta_hausdorff is not None:
         text += f"# beta_hausdorff,{fmt(beta_hausdorff)}\n"
     return text
 
 
-def _lines(row: str, rows: np.ndarray) -> str:
-    """One line per row of a 2-D array by a single %-format call ("%.12g"
-    formats as fmt)."""
-    return (row + "\n") * len(rows) % tuple(rows.ravel().tolist())
+def _csv_rows(*tables: Table) -> str:
+    """The rows of equally long tables side by side, one comma-separated
+    line each, by a single %-format call."""
+    columns = [t.texts[j :: t.shape[1]] for t in tables for j in range(t.shape[1])]
+    width, rows = len(columns), tables[0].shape[0]
+    flat = [""] * (rows * width)
+    for j, column in enumerate(columns):
+        flat[j::width] = column
+    return (",".join(["%s"] * width) + "\n") * rows % tuple(flat)
 
 
 def _svg_path(points, to_px) -> str:

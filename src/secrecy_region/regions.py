@@ -10,8 +10,8 @@ the generating parameter of every vertex.
 """
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry, linalg
 from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
-from .errors import ParamOutOfRange
+from .errors import ParamOutOfRange, SweepTruncated
 
 PARAM_ALPHA = "alpha"
 PARAM_BETA = "beta"
@@ -70,32 +70,27 @@ class RegionBoundary:
         return float(self.hull[0, 1]) if len(self.hull) else 0.0
 
 
-#: weights w of the golden-section searches for argmax r1 + w * r2
-REFINE_WEIGHTS = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-#: golden-section steps per weight, and the bracket width that ends them
-REFINE_ITERS = 30
-REFINE_INTERVAL_TOL = 1e-10
 #: cap on the swept parameters of one sweep
 MAX_POINTS = 20000
+#: narrowest parameter interval the subdivision still splits
+MIN_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """Controls for the boundary sweep.
 
-    The uniform base grid is refined two ways: subdivision, which splits
-    a chord whose sagitta exceeds `sagitta_tol` or whose length exceeds
+    The uniform base grid is refined by subdivision, which splits a chord
+    whose sagitta exceeds `sagitta_tol` or whose length exceeds
     `segment_tol` (the outer bound's staircase needs short steps rather
-    than low sagitta), and (with `refine`) golden-section searches that
-    pin the maximizer of r1 + w * r2 for each weight in `REFINE_WEIGHTS`.
-    With both tolerances None the sweep is the exact base grid. A sweep
-    stops adding parameters at `MAX_POINTS`.
+    than low sagitta). With both tolerances None the sweep is the exact
+    base grid. A sweep stops adding parameters at `MAX_POINTS`, and with a
+    `SweepTruncated` warning if that leaves a chord untested.
     """
 
     grid_points: int = 512
     sagitta_tol: float | None = 1e-7
     segment_tol: float | None = None
-    refine: bool = True
 
     def __post_init__(self):
         if self.grid_points < 2:
@@ -225,36 +220,38 @@ def _corner_fn(ch: ChannelPair, spec: ChannelSpectrum, param_kind: str) -> Corne
     return corners
 
 
-def _cache_arrays(cache: dict[float, tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The cached parameters, increasing, and their (n, 2) corners."""
-    params = np.fromiter(cache, float, len(cache))
-    points = np.fromiter(itertools.chain.from_iterable(cache.values()), float)
-    order = np.argsort(params)
-    return params[order], points.reshape(-1, 2)[order]
-
-
-def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -> None:
-    """Insert parameters until every chord is flat and short enough.
+def _subdivide(
+    corners: CornerFn, params: np.ndarray, points: np.ndarray, cfg: SweepConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The increasing parameters and their (n, 2) corners, with parameters
+    inserted until every chord is flat and short enough.
 
     Runs level by level: all midpoints of one level go through one batched
-    corner evaluation. An interval is split when its own sagitta (or chord
-    length) test fails, so the parameters visited do not depend on the
-    order; only the `MAX_POINTS` cap, applied in parameter order within a
-    level, does.
+    corner evaluation and are appended to the level's arrays; one sort
+    orders them at the end. An interval is split when its own sagitta (or
+    chord length) test fails, so the parameters visited do not depend on
+    the order; only the `MAX_POINTS` cap, applied in parameter order within
+    a level, does. Warns with `SweepTruncated` when the cap or the
+    `MIN_WIDTH` floor drops an interval that is due a test, since the
+    tolerance may then fail there.
     """
-    params, corner = _cache_arrays(cache)
+    param_parts, point_parts = [params], [points]
+    count = len(params)
     # intervals [lo, hi] in parameter order, with their end corners a, b
-    lo, hi, a, b = params[:-1], params[1:], corner[:-1], corner[1:]
+    lo, hi, a, b = params[:-1], params[1:], points[:-1], points[1:]
     sagitta_tol = math.inf if cfg.sagitta_tol is None else cfg.sagitta_tol
-    for _depth in range(41):
-        live = np.flatnonzero(hi - lo >= 1e-12)[: max(MAX_POINTS - len(cache), 0)]
+    truncated = 0
+    while True:
+        live = np.flatnonzero(hi - lo >= MIN_WIDTH)[: max(MAX_POINTS - count, 0)]
+        truncated += lo.size - live.size
         if live.size == 0:
-            return
+            break
         lo, hi, a, b = lo[live], hi[live], a[live], b[live]
         mid = 0.5 * (lo + hi)
-        m1, m2 = corners(mid)
-        m = np.stack([m1, m2], axis=1)
-        cache.update(zip(mid.tolist(), zip(m1.tolist(), m2.tolist())))
+        m = np.column_stack(corners(mid))
+        param_parts.append(mid)
+        point_parts.append(m)
+        count += mid.size
         split = geometry.segment_distances(m, a, b) > sagitta_tol
         if cfg.segment_tol is not None:
             split |= np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) > cfg.segment_tol
@@ -264,57 +261,15 @@ def _subdivide(corners: CornerFn, cache: dict[float, tuple], cfg: SweepConfig) -
         hi = np.stack([mid[s], hi[s]], axis=1).ravel()
         a = np.stack([a[s], m[s]], axis=1).reshape(-1, 2)
         b = np.stack([m[s], b[s]], axis=1).reshape(-1, 2)
-
-
-def _add_corners(corners: CornerFn, cache: dict[float, tuple], values) -> None:
-    """Cache the corners of the values not cached yet, in one batched call;
-    beyond the `MAX_POINTS` cap, the values last in parameter order are
-    left out."""
-    new = sorted({v for v in values if v not in cache})
-    new = new[: max(MAX_POINTS - len(cache), 0)]
-    if new:
-        r1, r2 = corners(np.array(new))
-        cache.update(zip(new, zip(r1.tolist(), r2.tolist())))
-
-
-def _golden_refine(corners: CornerFn, cache: dict[float, tuple]) -> None:
-    """Golden-section search of argmax r1 + w*r2 for each weight.
-
-    The searches run in lockstep: each step takes the new probe of every
-    live search and evaluates those not cached yet in one batched corner
-    call. A search depends on the others only through the `MAX_POINTS`
-    cap, which ends the searches whose probe it leaves out; below the cap
-    each visits the parameters it would visit alone.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def score(value: float, w: float) -> float:
-        p = cache[value]
-        return p[0] + w * p[1]
-
-    lo, hi = 0.0, 1.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    _add_corners(corners, cache, [x1, x2])
-    # one bracket [w, lo, hi, x1, x2] per weight, both probes scored
-    live = [[w, lo, hi, x1, x2] for w in REFINE_WEIGHTS]
-    for _ in range(REFINE_ITERS):
-        live = [
-            s for s in live
-            if s[3] in cache and s[4] in cache and s[2] - s[1] >= REFINE_INTERVAL_TOL
-        ]
-        if not live or len(cache) >= MAX_POINTS:
-            return
-        for s in live:
-            w, lo, hi, x1, x2 = s
-            if score(x1, w) >= score(x2, w):
-                hi, x2 = x2, x1
-                x1 = hi - inv_phi * (hi - lo)
-            else:
-                lo, x1 = x1, x2
-                x2 = lo + inv_phi * (hi - lo)
-            s[1:] = lo, hi, x1, x2
-        _add_corners(corners, cache, [x for s in live for x in s[3:]])
+    if truncated:
+        warnings.warn(
+            f"sweep stopped at {count} parameters with {truncated} intervals "
+            f"untested (MAX_POINTS = {MAX_POINTS}, MIN_WIDTH = {MIN_WIDTH:g})",
+            SweepTruncated,
+        )
+    params = np.concatenate(param_parts)
+    order = np.argsort(params)
+    return params[order], np.concatenate(point_parts)[order]
 
 
 def _hull_union_gap(frontier: np.ndarray, curve: np.ndarray) -> float:
@@ -345,23 +300,21 @@ def _build_boundary(
 
 def sweep_corners(
     ch: ChannelPair, spec: ChannelSpectrum, cfg: SweepConfig, param_kind: str
-) -> dict[float, tuple[float, float]]:
-    """Swept parameter -> rectangle corner (r1, r2): the base grid plus the
-    subdivision and refinement points, before any hull is taken."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The swept parameters, increasing, and their (n, 2) rectangle corners
+    (r1, r2): the base grid plus the subdivision points, before any hull is
+    taken."""
     corners = _corner_fn(ch, spec, param_kind)
-    base = np.linspace(0.0, 1.0, cfg.grid_points)
-    r1, r2 = corners(base)
-    cache = dict(zip(base.tolist(), zip(r1.tolist(), r2.tolist())))
-    if cfg.sagitta_tol is not None or cfg.segment_tol is not None:
-        _subdivide(corners, cache, cfg)
-    if cfg.refine:
-        _golden_refine(corners, cache)
-    return cache
+    params = np.linspace(0.0, 1.0, cfg.grid_points)
+    points = np.column_stack(corners(params))
+    if cfg.sagitta_tol is None and cfg.segment_tol is None:
+        return params, points
+    return _subdivide(corners, params, points, cfg)
 
 
 def _sweep(ch: ChannelPair, cfg: SweepConfig, param_kind: str) -> RegionBoundary:
     spec = spectrum(ch)
-    params, points = _cache_arrays(sweep_corners(ch, spec, cfg, param_kind))
+    params, points = sweep_corners(ch, spec, cfg, param_kind)
     cap1, cap2 = _intercepts(ch, spec)
     return _build_boundary(params, points, cap1, cap2, param_kind)
 

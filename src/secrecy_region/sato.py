@@ -60,9 +60,7 @@ class SatoEvaluation:
 #: ride along with it in `outer_region`
 RANK_ONE_ANGLES = 256
 RANK_ONE_PHASES = 64
-OUTER_SWEEP = SweepConfig(
-    grid_points=129, sagitta_tol=1e-5, segment_tol=2.5e-3, refine=False
-)
+OUTER_SWEEP = SweepConfig(grid_points=129, sagitta_tol=1e-5, segment_tol=2.5e-3)
 
 #: audit tolerances (raw log2 units) on the worst witness margin and on
 #: the asserted corner gaps
@@ -72,7 +70,7 @@ CORNER_TOL = 1e-6
 #: default audit sweep: the audit's precision does not depend on sweep
 #: density (witness rectangles are exact per swept corner), so it is
 #: lighter than the region default
-AUDIT_SWEEP = SweepConfig(grid_points=257, sagitta_tol=1e-6, refine=False)
+AUDIT_SWEEP = SweepConfig(grid_points=257, sagitta_tol=1e-6)
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ def outer_region(ch: ChannelPair, rho: complex) -> RegionBoundary:
     r = _check_rho(rho, RHO_GRID_EDGE)
     scale = rate_scale(ch)
     spec = spectrum(ch)
-    alphas = np.array(sorted(sweep_corners(ch, spec, OUTER_SWEEP, PARAM_ALPHA)))
+    alphas, _ = sweep_corners(ch, spec, OUTER_SWEEP, PARAM_ALPHA)
     forms1, forms2 = _kx_forms(ch, spec, alphas)
     ones1, ones2 = _rank_one_bounds(ch, r)
     # rank-one candidates first, then the boundary covariances

@@ -124,7 +124,7 @@ def test_criterion_04_parametrization_equivalence(example_channel):
         assert abs(a_corner.r1 - b_corner.r1) <= 1e-9
         assert abs(a_corner.r2 - b_corner.r2) <= 1e-9
 
-        cfg = SweepConfig(grid_points=129, sagitta_tol=5e-7, refine=False)
+        cfg = SweepConfig(grid_points=129, sagitta_tol=5e-7)
         hd = geometry.hausdorff_distance(
             capacity_region(example_channel, cfg).frontier(),
             capacity_region_beta(example_channel, cfg).frontier(),
@@ -214,7 +214,7 @@ def test_criterion_07_converse_containment_and_tightness(example_channel):
 
 def test_criterion_08_miso_intercept(example_channel):
     with criterion(8, "single-eavesdropper capacity equals the hull intercept"):
-        light = SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False)
+        light = SweepConfig(grid_points=33, sagitta_tol=1e-4)
         cases = [example_channel]
         cases += random_channels(seed=707, count=10)
         cases.append(make([1, 0], [0, 0], power=3.0))

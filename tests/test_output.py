@@ -14,9 +14,11 @@ from secrecy_region import cli, output
 
 @pytest.fixture(scope="module")
 def boundary(example_channel):
-    return capacity_region(
-        example_channel, SweepConfig(grid_points=17, sagitta_tol=1e-4, refine=False)
-    )
+    return capacity_region(example_channel, SweepConfig(grid_points=17, sagitta_tol=1e-4))
+
+
+def tables(boundary):
+    return output.points_table(boundary), output.table(boundary.hull)
 
 
 class TestNumberFormat:
@@ -77,13 +79,13 @@ class TestDumpJson:
 
 
     def test_cli_payload_matches_stdlib(self, boundary):
-        # the CLI payload holds a structured points table and a 2-D hull
-        # array; their text equals that of the same values as plain lists
+        # the CLI payload holds a keyed points table and a hull table; their
+        # text equals that of the same values as plain lists
         payload = cli._boundary_payload(boundary)
-        points = payload["points"]
+        rows = np.column_stack([boundary.params, boundary.points]).tolist()
         plain = dict(
             payload,
-            points=[dict(zip(points.dtype.names, row)) for row in points.tolist()],
+            points=[dict(zip(output.POINT_KEYS, row)) for row in rows],
             hull=boundary.hull.tolist(),
         )
         ref = json.dumps(output.round12(plain), indent=2) + "\n"
@@ -99,21 +101,37 @@ class TestDumpJson:
             np.arange(6).reshape(3, 2),
             np.array([0.25, 3.0]),
             np.rec.fromarrays([[0.5, 1e16], [math.nan, 2.0]], names="a%s,b"),
+            np.array(
+                [
+                    [0.0, -0.0, 3.0, 2.9999999999999],
+                    [1e12, 1e16, 1e-300, 5e-324],
+                    [math.nan, math.inf, -math.inf, 0.1],
+                ]
+            ),
         ],
     )
     def test_arrays_match_stdlib(self, array):
         plain = array.tolist()
-        if array.dtype.names:
-            plain = [dict(zip(array.dtype.names, row)) for row in plain]
+        keys = array.dtype.names
+        if keys:
+            plain = [dict(zip(keys, row)) for row in plain]
         ref = json.dumps(output.round12({"x": plain}), indent=2) + "\n"
-        assert output.dump_json({"x": array}) == ref
+        if not keys and (array.dtype.kind == "i" or array.ndim == 1):
+            assert output.dump_json({"x": array}) == ref
+            return
+        # a float table is formatted once and read by both writers
+        values = np.column_stack([array[k] for k in keys]) if keys else array
+        table = output.table(values, keys)
+        assert output.dump_json({"x": table}) == ref
+        csv = "".join(",".join("%.12g" % v for v in row) + "\n" for row in values)
+        assert output._csv_rows(table) == csv
 
 
 class TestBoundaryCsv:
     def test_rows_match_fmt(self, boundary):
         # reference: one fmt call per number, row by row
         fmt = output.fmt
-        dists = [0.25 * i for i in range(len(boundary.points))]
+        dists = np.arange(len(boundary.points)) * 0.25
         ref = ["param,r1_bits,r2_bits,beta_dist"]
         ref += [
             f"{fmt(a)},{fmt(r1)},{fmt(r2)},{fmt(d)}"
@@ -121,10 +139,11 @@ class TestBoundaryCsv:
         ]
         ref += ["# hull"] + [f"{fmt(r1)},{fmt(r2)}" for r1, r2 in boundary.hull]
         ref += [f"# beta_hausdorff,{fmt(3e-9)}"]
-        assert output.boundary_csv(boundary, dists, 3e-9) == "\n".join(ref) + "\n"
+        text = output.boundary_csv(*tables(boundary), dists, 3e-9)
+        assert text == "\n".join(ref) + "\n"
 
     def test_layout(self, boundary):
-        text = output.boundary_csv(boundary)
+        text = output.boundary_csv(*tables(boundary))
         lines = text.strip().split("\n")
         assert lines[0] == "param,r1_bits,r2_bits"
         sentinel = lines.index("# hull")
@@ -136,8 +155,8 @@ class TestBoundaryCsv:
         assert all(len(row.split(",")) == 2 for row in hull_rows)
 
     def test_beta_columns(self, boundary):
-        dists = [0.0] * len(boundary.points)
-        text = output.boundary_csv(boundary, dists, 1.5e-7)
+        dists = np.zeros(len(boundary.points))
+        text = output.boundary_csv(*tables(boundary), dists, 1.5e-7)
         lines = text.strip().split("\n")
         assert lines[0] == "param,r1_bits,r2_bits,beta_dist"
         assert lines[1].count(",") == 3

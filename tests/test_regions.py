@@ -11,6 +11,7 @@ from secrecy_region import (
     ParamOutOfRange,
     RatePair,
     SweepConfig,
+    SweepTruncated,
     capacity_region,
     capacity_region_beta,
     equal_rate_point,
@@ -35,7 +36,7 @@ def make(h, g, power=10.0, mode="complex"):
     return ChannelPair(np.asarray(h, dtype=complex), np.asarray(g, dtype=complex), power, mode)
 
 
-LIGHT = SweepConfig(grid_points=65, sagitta_tol=1e-6, refine=False)
+LIGHT = SweepConfig(grid_points=65, sagitta_tol=1e-6)
 
 
 def segment_distance(p, a, b):
@@ -45,36 +46,6 @@ def segment_distance(p, a, b):
     t = 0.0 if ll == 0.0 else ((p[0] - a[0]) * vx + (p[1] - a[1]) * vy) / ll
     t = min(max(t, 0.0), 1.0)
     return math.hypot(p[0] - (a[0] + t * vx), p[1] - (a[1] + t * vy))
-
-
-def sequential_golden(corners, cache):
-    """Golden-section search of argmax r1 + w*r2, one weight after another
-    and one corner evaluation per probe."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def score(value, w):
-        if value not in cache:
-            r1, r2 = corners(np.array([value]))
-            cache[value] = (float(r1[0]), float(r2[0]))
-        p = cache[value]
-        return p[0] + w * p[1]
-
-    for w in regions.REFINE_WEIGHTS:
-        lo, hi = 0.0, 1.0
-        x1 = hi - inv_phi * (hi - lo)
-        x2 = lo + inv_phi * (hi - lo)
-        f1, f2 = score(x1, w), score(x2, w)
-        for _ in range(regions.REFINE_ITERS):
-            if hi - lo < regions.REFINE_INTERVAL_TOL or len(cache) >= regions.MAX_POINTS:
-                break
-            if f1 >= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - inv_phi * (hi - lo)
-                f1 = score(x1, w)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + inv_phi * (hi - lo)
-                f2 = score(x2, w)
 
 
 class TestGamma1:
@@ -248,7 +219,7 @@ class TestCapacityRegion:
                 assert region_contains(large, p, tol=1e-9)
 
     def test_two_point_grid_still_valid(self, example_channel):
-        cfg = SweepConfig(grid_points=2, sagitta_tol=None, refine=False)
+        cfg = SweepConfig(grid_points=2, sagitta_tol=None)
         b = capacity_region(example_channel, cfg)
         assert len(b.points) == 2
         assert RatePair(*b.hull[0]) == RatePair(0.0, b.r2_max)
@@ -299,58 +270,56 @@ class TestCapacityRegion:
                 segment_tol is not None and math.dist(a, b) > segment_tol
             ):
                 stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
-        cache = {v: corner(v) for v in base}
-        regions._subdivide(corners, cache, cfg)
-        assert len(cache) > 1000
-        assert sorted(cache) == sorted(ref)
-
-    @pytest.mark.parametrize("kind", ["alpha", "beta"])
-    @pytest.mark.parametrize("channel", ["example", "t3", "t8", "identical"])
-    def test_lockstep_golden_matches_sequential(self, example_channel, kind, channel):
-        # the lockstep refinement, one batched corner call per step, visits
-        # the parameters of one golden-section search after another, with
-        # the same corners, bit for bit (identical channels: all scores tie)
-        if channel == "example":
-            ch = example_channel
-        elif channel == "identical":
-            ch = make([1, 0.5], [1, 0.5])
-        else:
-            dim = int(channel[1:])
-            rng = np.random.default_rng(70 + dim)
-            ch = make(*_oracles.random_channel(rng, dim, 10.0, "complex"))
-        corners = regions._corner_fn(ch, spectrum(ch), kind)
-        base = np.linspace(0.0, 1.0, 17)
-        r1, r2 = corners(base)
-        cache = dict(zip(base.tolist(), zip(r1.tolist(), r2.tolist())))
-        ref = dict(cache)
-        sequential_golden(corners, ref)
-        regions._golden_refine(corners, cache)
-        assert len(ref) > 17 + 30
-
-        def bits(d):
-            return np.array([(v, *d[v]) for v in sorted(d)]).view(np.uint64)
-
-        np.testing.assert_array_equal(bits(cache), bits(ref))
+        params = np.array(base)
+        params, points = regions._subdivide(
+            corners, params, np.column_stack(corners(params)), cfg
+        )
+        assert len(params) > 1000
+        assert params.tolist() == sorted(ref)
+        assert points.tolist() == [list(ref[v]) for v in sorted(ref)]
 
     def test_sweep_never_exceeds_max_points(self, example_channel):
-        # subdivision fills the cap here; the refinement must not add to it
+        # subdivision fills the cap here, and says so
         spec = spectrum(example_channel)
-        cache = regions.sweep_corners(
-            example_channel, spec, SweepConfig(sagitta_tol=1e-9), "alpha"
-        )
-        assert len(cache) <= regions.MAX_POINTS
+        with pytest.warns(SweepTruncated, match="stopped at 20000 parameters"):
+            params, points = regions.sweep_corners(
+                example_channel, spec, SweepConfig(sagitta_tol=1e-9), "alpha"
+            )
+        assert len(params) == len(points) == regions.MAX_POINTS
 
-    @pytest.mark.parametrize("cap", [17, 18, 19, 22, 40])
-    def test_golden_refine_stops_at_max_points(self, example_channel, monkeypatch, cap):
-        # the cap keeps the parameters first in order within each step
-        monkeypatch.setattr(regions, "MAX_POINTS", cap)
-        spec = spectrum(example_channel)
-        cfg = SweepConfig(grid_points=17, sagitta_tol=None)
-        cache = regions.sweep_corners(example_channel, spec, cfg, "alpha")
-        assert len(cache) == cap
+    def test_width_floor_warns(self, example_channel):
+        # a jump in the corner curve: the chord across it never gets short,
+        # so halving stops at the width floor, and says so
+        def corners(v):
+            return np.where(v < 0.3, 0.0, 1.0), np.zeros_like(v)
+
+        params = np.linspace(0.0, 1.0, 5)
+        cfg = SweepConfig(grid_points=5, sagitta_tol=None, segment_tol=0.5)
+        with pytest.warns(SweepTruncated, match="2 intervals untested"):
+            params, _ = regions._subdivide(
+                corners, params, np.column_stack(corners(params)), cfg
+            )
+        assert np.diff(params).min() < regions.MIN_WIDTH
+
+    @pytest.mark.parametrize("power", [1e-3, 10.0, 1e10])
+    @pytest.mark.parametrize("channel", ["example", "t2", "t3", "t8"])
+    def test_default_sweep_meets_sagitta_tol(self, example_channel, channel, power):
+        # without any refinement pass, 4,096 seeded probe corners lie
+        # within the default sagitta tolerance of the default hull
+        if channel == "example":
+            ch = make(example_channel.h, example_channel.g, power, "real")
+        else:
+            dim = int(channel[1:])
+            rng = np.random.default_rng(90 + dim)
+            ch = make(*_oracles.random_channel(rng, dim, power, "complex"))
+        b = capacity_region(ch)
+        corners = regions._corner_fn(ch, spectrum(ch), "alpha")
+        probes = np.random.default_rng(7).random(4096)
+        dist = geometry.min_distances(np.column_stack(corners(probes)), b.hull)
+        assert dist.max() <= SweepConfig().sagitta_tol
 
     def test_no_tolerance_sweeps_the_exact_grid(self, example_channel):
-        cfg = SweepConfig(grid_points=17, sagitta_tol=None, refine=False)
+        cfg = SweepConfig(grid_points=17, sagitta_tol=None)
         b = capacity_region(example_channel, cfg)
         assert b.params.tolist() == np.linspace(0.0, 1.0, 17).tolist()
 
@@ -359,13 +328,11 @@ class TestCapacityRegion:
         corners = regions._corner_fn(example_channel, spec, "alpha")
 
         def swept(segment_tol):
-            cfg = SweepConfig(
-                grid_points=9, sagitta_tol=None, segment_tol=segment_tol, refine=False
-            )
+            cfg = SweepConfig(grid_points=9, sagitta_tol=None, segment_tol=segment_tol)
             return regions.sweep_corners(example_channel, spec, cfg, "alpha")
 
         # no chord is long: each base interval gets its one midpoint only
-        assert len(swept(10.0)) == 17
+        assert len(swept(10.0)[0]) == 17
         # a depth-first reference that splits on chord length alone
         base = np.linspace(0.0, 1.0, 9).tolist()
         ref = {v: tuple(float(r[0]) for r in corners(np.array([v]))) for v in base}
@@ -378,9 +345,9 @@ class TestCapacityRegion:
             ref[mid] = tuple(float(r[0]) for r in corners(np.array([mid])))
             if math.dist(ref[lo], ref[hi]) > 0.05:
                 stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
-        cache = swept(0.05)
-        assert sorted(cache) == sorted(ref)
-        points = np.array([cache[v] for v in sorted(cache)])
+        params, points = swept(0.05)
+        assert params.tolist() == sorted(ref)
+        assert points.tolist() == [list(ref[v]) for v in sorted(ref)]
         assert np.hypot(*np.diff(points, axis=0).T).max() <= 0.05
 
     def test_hull_union_gap_small_for_example(self, example_channel):
@@ -407,7 +374,7 @@ class TestBetaParametrization:
         assert abs(x2 - spec.lambda2) <= 1e-9 * spec.lambda2
 
     def test_hulls_agree(self, example_channel):
-        cfg = SweepConfig(grid_points=129, sagitta_tol=5e-7, refine=False)
+        cfg = SweepConfig(grid_points=129, sagitta_tol=5e-7)
         ba = capacity_region(example_channel, cfg)
         bb = capacity_region_beta(example_channel, cfg)
         hd = geometry.hausdorff_distance(ba.frontier(), bb.frontier())

@@ -267,7 +267,7 @@ class TestOuterRegion:
         outer = outer_region(example_channel, rho)
         hull = capacity_region(
             example_channel,
-            SweepConfig(grid_points=257, sagitta_tol=1e-6, refine=False),
+            SweepConfig(grid_points=257, sagitta_tol=1e-6),
         )
         stairs = geometry.staircase_polyline(outer.hull)
         hd = geometry.hausdorff_distance(stairs, hull.frontier())
@@ -279,7 +279,7 @@ class TestOuterRegion:
         outer = outer_region(example_channel, rho)
         hull = capacity_region(
             example_channel,
-            SweepConfig(grid_points=65, sagitta_tol=1e-5, refine=False),
+            SweepConfig(grid_points=65, sagitta_tol=1e-5),
         )
         for vertex in hull.hull:
             assert region_contains(outer, vertex, tol=1e-6)
@@ -319,7 +319,7 @@ class TestOuterRegion:
         monkeypatch.setattr(
             sato,
             "OUTER_SWEEP",
-            SweepConfig(grid_points=17, sagitta_tol=1e-4, refine=False),
+            SweepConfig(grid_points=17, sagitta_tol=1e-4),
         )
         b = outer_region(example_channel, 0.1)
         assert len(b.points) >= 17
@@ -333,13 +333,13 @@ class TestOuterRegion:
         monkeypatch.setattr(
             sato,
             "OUTER_SWEEP",
-            SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False),
+            SweepConfig(grid_points=33, sagitta_tol=1e-4),
         )
         spec = spectrum(ch)
         rho = tightness_rho(spec, ch.h, ch.g)
         outer = outer_region(ch, rho)
         assert len(outer.hull) >= 2
-        hull = capacity_region(ch, SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False))
+        hull = capacity_region(ch, SweepConfig(grid_points=33, sagitta_tol=1e-4))
         for vertex in hull.hull:
             assert region_contains(outer, vertex, tol=1e-6)
 
@@ -427,7 +427,7 @@ class TestAudit:
 
     def test_random_real_channels(self):
         rng = np.random.default_rng(56)
-        cfg = SweepConfig(grid_points=65, sagitta_tol=1e-5, refine=False)
+        cfg = SweepConfig(grid_points=65, sagitta_tol=1e-5)
         for _ in range(5):
             h, g, p = _oracles.random_channel(rng, 2, 10.0, "real")
             report = audit_inner_outer(make(h, g, p, "real"), cfg)
@@ -441,7 +441,7 @@ class TestAudit:
         # corner gaps pin the sweep's two end parameters
         rng = np.random.default_rng(59)
         ch = make(*_oracles.random_channel(rng, 3, 10.0, "complex"))
-        cfg = SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False)
+        cfg = SweepConfig(grid_points=33, sagitta_tol=1e-4)
         report = audit_inner_outer(ch, cfg)
         scale = rate_scale(ch)
         for a, tag in ((0.0, "alpha0"), (1.0, "alpha1")):
@@ -457,7 +457,7 @@ class TestAudit:
     def test_blocked_pass_is_the_per_rho_definition(self, ch):
         # the exact minimum over every coupling is at or below the margin
         # by its definition on any grid of couplings
-        sweep = SweepConfig(grid_points=65, sagitta_tol=1e-5, refine=False)
+        sweep = SweepConfig(grid_points=65, sagitta_tol=1e-5)
         report = audit_inner_outer(ch, sweep)
         assert report.containment_worst <= per_rho_worst(ch, sweep) + 1e-15
 
@@ -512,7 +512,7 @@ class TestAudit:
     @pytest.mark.parametrize("mode", ["real", "complex"])
     def test_minimizers_are_rho_star_and_its_conjugate(self, t, mode):
         rng = np.random.default_rng(61 + t)
-        cfg = SweepConfig(grid_points=65, sagitta_tol=1e-5, refine=False)
+        cfg = SweepConfig(grid_points=65, sagitta_tol=1e-5)
         for _ in range(3):
             ch = make(*_oracles.random_channel(rng, t, 10.0, mode), mode)
             report = audit_inner_outer(ch, cfg)
@@ -556,7 +556,7 @@ class TestAudit:
         assert peak < 3 * 2**20
 
     def test_fault_injection_breaks_containment(self, example_channel, inflated_hull):
-        cfg = SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False)
+        cfg = SweepConfig(grid_points=33, sagitta_tol=1e-4)
         report = audit_inner_outer(example_channel, cfg)
         assert not report.containment_ok
 
@@ -565,7 +565,7 @@ class TestAudit:
         assert default == audit_inner_outer(example_channel, sato.AUDIT_SWEEP).to_dict()
 
     def test_report_dict_schema(self, example_channel):
-        cfg = SweepConfig(grid_points=33, sagitta_tol=1e-4, refine=False)
+        cfg = SweepConfig(grid_points=33, sagitta_tol=1e-4)
         payload = audit_inner_outer(example_channel, cfg).to_dict()
         for key in (
             "containment_ok",

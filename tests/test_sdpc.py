@@ -210,7 +210,7 @@ class TestAchievability:
     def test_random_covariances_inside_capacity_hull(self, example_channel):
         rng = np.random.default_rng(32)
         hull = capacity_region(
-            example_channel, SweepConfig(grid_points=257, sagitta_tol=1e-7, refine=False)
+            example_channel, SweepConfig(grid_points=257, sagitta_tol=1e-7)
         )
         for _ in range(40):
             split = rng.uniform()
