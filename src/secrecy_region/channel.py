@@ -112,8 +112,14 @@ class ChannelPair:
         )
 
     def swapped(self) -> "ChannelPair":
-        """The same channel with the two users exchanged."""
-        return ChannelPair(self.g, self.h, self.power, self.mode)
+        """The same channel with the two users exchanged. The twin is built
+        once, with its own caches, and its swap is this channel."""
+        twin = self.__dict__.get("_twin")
+        if twin is None:
+            twin = ChannelPair(self.g, self.h, self.power, self.mode)
+            twin.__dict__["_twin"] = self
+            self.__dict__["_twin"] = twin
+        return twin
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +134,13 @@ class ChannelSpectrum:
     residual2: float
     degenerate1: bool = False
     degenerate2: bool = False
+
+    def swapped(self) -> "ChannelSpectrum":
+        """The spectrum of the swapped channel: the two pencils exchanged."""
+        return ChannelSpectrum(
+            self.lambda2, self.e2, self.lambda1, self.e1,
+            self.residual2, self.residual1, self.degenerate2, self.degenerate1,
+        )
 
 
 def spectrum(ch: ChannelPair) -> ChannelSpectrum:

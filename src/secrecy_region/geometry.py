@@ -185,8 +185,6 @@ def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
     return np.hypot(px - (ax + t * vx), py - (ay + t * vy))
 
 
-#: point-segment pairs evaluated per block in `min_distances`
-PAIR_BLOCK = 2_000_000
 #: window padding, relative to the coordinate scale, that covers the
 #: rounding of the per-pair distance (a few ulps of that scale)
 WINDOW_PAD = 2.0**-30
@@ -221,10 +219,12 @@ def min_distances(points, poly) -> np.ndarray:
     a segment nearer than the bracketing segments must overlap
     [px - d0, px + d0] in x, where d0 is the padded distance to the
     segments around the point's x; in an x-sorted chain those form one
-    index range. Other polylines, and points whose window spans most of
-    the chain, use the whole chain [0, M - 1]. The windows hold every
-    segment that can attain the minimum, so the result equals the
-    all-segments minimum bitwise.
+    index range. Other polylines, and points whose padding overflows, use
+    the whole chain [0, M - 1]. One pass over the offset k measures
+    segment lo + k for every point whose window reaches that far, with
+    the points sorted by window width so those form a prefix. The windows
+    hold every segment that can attain the minimum, so the result equals
+    the all-segments minimum bitwise.
     """
     pts, line = _xy(points), _xy(poly)
     if pts.size == 0:
@@ -238,7 +238,8 @@ def min_distances(points, poly) -> np.ndarray:
     ax, ay = line[:-1, 0], line[:-1, 1]
     vx, vy = line[1:, 0] - ax, line[1:, 1] - ay
     ll = vx * vx + vy * vy
-    ll = np.where(ll > 0.0, ll, 1.0)
+    # the segments' (ax, ay, vx, vy, ll) rows, gathered together per index
+    segs = np.stack([ax, ay, vx, vy, np.where(ll > 0.0, ll, 1.0)])
     n, m = pts.shape[0], ax.shape[0]
     lo = np.zeros(n, dtype=np.intp)
     hi = np.full(n, m - 1, dtype=np.intp)
@@ -247,9 +248,7 @@ def min_distances(points, poly) -> np.ndarray:
     if scale < WINDOW_SCALE_MAX and bool(np.all(xs[1:] >= xs[:-1])):
         j = np.searchsorted(xs, px)
         near = np.clip(np.stack([j - 1, j], axis=1), 0, m - 1)
-        d2 = _segment_d2(
-            px[:, None], py[:, None], ax[near], ay[near], vx[near], vy[near], ll[near]
-        )
+        d2 = _segment_d2(px[:, None], py[:, None], *segs[:, near])
         pt_scale = np.abs(px) + np.abs(py) + scale
         # the 2**-500 floor keeps the padding clear of subnormal rounding
         reach = (
@@ -261,29 +260,20 @@ def min_distances(points, poly) -> np.ndarray:
         w_lo = np.maximum(np.searchsorted(xs, px - reach, side="left") - 1, 0)
         w_hi = np.minimum(np.searchsorted(xs, px + reach, side="right") - 1, m - 1)
         ok = np.isfinite(reach) & (pt_scale < WINDOW_SCALE_MAX) & (w_hi >= w_lo)
-        ok &= 2 * (w_hi - w_lo + 1) <= m
         lo[ok], hi[ok] = w_lo[ok], w_hi[ok]
 
-    # points grouped by window width rounded up to a power of two, which
-    # stays below m since kept windows hold at most m / 2 segments; the
-    # whole-chain group is broadcast rather than gathered
+    # widest window first: at offset k the points still measured are the
+    # first live[k], whose windows hold more than k segments
     width = hi - lo + 1
-    pow2 = np.left_shift(1, np.ceil(np.log2(width)).astype(np.intp))
-    group = np.where(width == m, m, pow2)
+    order = np.argsort(-width)
+    lo, px, py, width = lo[order], px[order], py[order], width[order]
+    live = np.searchsorted(-width, -np.arange(width[0]), side="left")
+    best = np.full(n, np.inf)
+    for k, c in enumerate(live.tolist()):
+        seg = segs[:, lo[:c] + k]
+        np.minimum(best[:c], _segment_d2(px[:c], py[:c], *seg), out=best[:c])
     out = np.empty(n)
-    for k in set(group.tolist()):
-        rows = np.flatnonzero(group == k)
-        step = max(1, PAIR_BLOCK // k)
-        for s in range(0, rows.size, step):
-            r = rows[s : s + step]
-            if k == m:
-                seg = np.arange(m)[None, :]
-            else:
-                seg = np.minimum(lo[r, None] + np.arange(k), hi[r, None])
-            d2 = _segment_d2(
-                px[r, None], py[r, None], ax[seg], ay[seg], vx[seg], vy[seg], ll[seg]
-            )
-            out[r] = np.sqrt(d2.min(axis=1))
+    out[order] = np.sqrt(best)
     return out
 
 

@@ -4,7 +4,8 @@ The boundary of the secrecy capacity region is traced by a one-parameter
 family of axis-aligned rectangles. For the direct parametrization alpha,
 user 1's bound is the closed-form ratio gamma1(alpha) and user 2's bound
 gamma2(alpha) is the top eigenvalue of an alpha-dependent pencil; the dual
-parametrization beta exchanges the users' roles. The region itself is the
+parametrization beta exchanges the users' roles, so it is computed as the
+alpha parametrization of the swapped channel. The region itself is the
 convex hull of all swept rectangles; its Pareto frontier is returned with
 the generating parameter of every vertex.
 """
@@ -149,25 +150,15 @@ def gamma2(ch: ChannelPair, spec: ChannelSpectrum, alpha):
 
 
 def xi2(ch: ChannelPair, spec: ChannelSpectrum, beta):
-    """User 2's closed-form ratio in the role-exchanged parametrization."""
-    b = _check_param(beta, "beta")
-    p = ch.power
-    num = 1.0 + b * p * abs(np.vdot(ch.g, spec.e2)) ** 2
-    den = 1.0 + b * p * abs(np.vdot(ch.h, spec.e2)) ** 2
-    return num / den
+    """User 2's closed-form ratio in the role-exchanged parametrization:
+    `gamma1` of the swapped channel."""
+    return gamma1(ch.swapped(), spec.swapped(), _check_param(beta, "beta"))
 
 
 def xi1(ch: ChannelPair, spec: ChannelSpectrum, beta):
-    """User 1's pencil eigenvalue in the role-exchanged parametrization.
-
-    Scalar or batched like `gamma2`.
-    """
-    b = _check_param(beta, "beta")
-    s_h, s_g = _split_weights(
-        ch, abs(np.vdot(ch.h, spec.e2)) ** 2, abs(np.vdot(ch.g, spec.e2)) ** 2, b
-    )
-    res = linalg.plane_top(ch.plane_hg, s_h, s_g)
-    return (float(res.lam), res.vec) if type(b) is float else (res.lam, res.vec)
+    """User 1's pencil eigenvalue in the role-exchanged parametrization:
+    `gamma2` of the swapped channel, scalar or batched like it."""
+    return gamma2(ch.swapped(), spec.swapped(), _check_param(beta, "beta"))
 
 
 def _log_rate(ratio: float, scale: float) -> float:
@@ -197,7 +188,7 @@ def miso_wiretap_capacity(ch: ChannelPair) -> float:
 CornerFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _corner_fn(ch: ChannelPair, spec: ChannelSpectrum, param_kind: str) -> CornerFn:
+def _corner_fn(ch: ChannelPair, spec: ChannelSpectrum) -> CornerFn:
     scale = rate_scale(ch)
     cap1, cap2 = _intercepts(ch, spec)
 
@@ -209,13 +200,8 @@ def _corner_fn(ch: ChannelPair, spec: ChannelSpectrum, param_kind: str) -> Corne
         return np.minimum(np.where(positive, np.maximum(logs, 0.0), 0.0), cap)
 
     def corners(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if param_kind == PARAM_ALPHA:
-            ratio1 = gamma1(ch, spec, values)
-            ratio2, _ = gamma2(ch, spec, values)
-        else:
-            ratio1, _ = xi1(ch, spec, values)
-            ratio2 = xi2(ch, spec, values)
-        return rates(ratio1, cap1), rates(ratio2, cap2)
+        ratio2, _ = gamma2(ch, spec, values)
+        return rates(gamma1(ch, spec, values), cap1), rates(ratio2, cap2)
 
     return corners
 
@@ -299,12 +285,12 @@ def _build_boundary(
 
 
 def sweep_corners(
-    ch: ChannelPair, spec: ChannelSpectrum, cfg: SweepConfig, param_kind: str
+    ch: ChannelPair, spec: ChannelSpectrum, cfg: SweepConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The swept parameters, increasing, and their (n, 2) rectangle corners
+    """The swept alphas, increasing, and their (n, 2) rectangle corners
     (r1, r2): the base grid plus the subdivision points, before any hull is
     taken."""
-    corners = _corner_fn(ch, spec, param_kind)
+    corners = _corner_fn(ch, spec)
     params = np.linspace(0.0, 1.0, cfg.grid_points)
     points = np.column_stack(corners(params))
     if cfg.sagitta_tol is None and cfg.segment_tol is None:
@@ -312,24 +298,27 @@ def sweep_corners(
     return _subdivide(corners, params, points, cfg)
 
 
-def _sweep(ch: ChannelPair, cfg: SweepConfig, param_kind: str) -> RegionBoundary:
-    spec = spectrum(ch)
-    params, points = sweep_corners(ch, spec, cfg, param_kind)
-    cap1, cap2 = _intercepts(ch, spec)
-    return _build_boundary(params, points, cap1, cap2, param_kind)
-
-
 def capacity_region(ch: ChannelPair, grid: SweepConfig | None = None) -> RegionBoundary:
     """Sweep the direct parametrization and convexify."""
-    return _sweep(ch, grid or SweepConfig(), PARAM_ALPHA)
+    spec = spectrum(ch)
+    params, points = sweep_corners(ch, spec, grid or SweepConfig())
+    return _build_boundary(params, points, *_intercepts(ch, spec), PARAM_ALPHA)
 
 
 def capacity_region_beta(
     ch: ChannelPair, grid: SweepConfig | None = None
 ) -> RegionBoundary:
     """Sweep the role-exchanged parametrization; same region as
-    capacity_region up to discretization."""
-    return _sweep(ch, grid or SweepConfig(), PARAM_BETA)
+    capacity_region up to discretization.
+
+    beta is alpha on the swapped channel: its corners are that sweep's,
+    with the two rate columns exchanged back.
+    """
+    sw = ch.swapped()
+    spec = spectrum(sw)
+    params, points = sweep_corners(sw, spec, grid or SweepConfig())
+    cap2, cap1 = _intercepts(sw, spec)
+    return _build_boundary(params, points[:, ::-1], cap1, cap2, PARAM_BETA)
 
 
 def time_sharing_region(ch: ChannelPair) -> RegionBoundary:

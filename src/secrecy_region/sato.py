@@ -26,14 +26,7 @@ import numpy as np
 from . import geometry, linalg
 from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
 from .errors import CovarianceInvalid, DegeneratePivot, NumericsError, RhoOnUnitCircle
-from .regions import (
-    PARAM_ALPHA,
-    RegionBoundary,
-    SweepConfig,
-    capacity_region,
-    gamma2,
-    sweep_corners,
-)
+from .regions import RegionBoundary, SweepConfig, capacity_region, gamma2, sweep_corners
 from .sdpc import PSD_TOL, TRACE_TOL, _finite
 
 #: evaluations require |rho| <= 1 - RHO_EDGE (the 1-|rho|^2 denominator)
@@ -297,7 +290,7 @@ def outer_region(ch: ChannelPair, rho: complex) -> RegionBoundary:
     r = _check_rho(rho, RHO_GRID_EDGE)
     scale = rate_scale(ch)
     spec = spectrum(ch)
-    alphas, _ = sweep_corners(ch, spec, OUTER_SWEEP, PARAM_ALPHA)
+    alphas, _ = sweep_corners(ch, spec, OUTER_SWEEP)
     forms1, forms2 = _kx_forms(ch, spec, alphas)
     ones1, ones2 = _rank_one_bounds(ch, r)
     # rank-one candidates first, then the boundary covariances

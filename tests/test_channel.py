@@ -1,5 +1,6 @@
 """Channel instances, pencil spectrum and feasibility predicates."""
 
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +60,30 @@ class TestChannelPair:
         sw = ch.swapped()
         np.testing.assert_array_equal(sw.h, ch.g)
         np.testing.assert_array_equal(sw.g, ch.h)
+        # one twin per channel, and the twin's twin is the channel
+        assert ch.swapped() is sw and sw.swapped() is ch
+        # the twin's own spectrum is the exchanged spectrum, bit for bit
+        rng = np.random.default_rng(43)
+        pairs = [
+            (golden.EXAMPLE_H, golden.EXAMPLE_G_TEXT),
+            _oracles.random_channel(rng, 3, 1.0, "complex")[:2],
+            _oracles.random_channel(rng, 8, 1.0, "complex")[:2],
+            ([1.0, 2.0j, -0.5], [-2.0, -4.0j, 1.0]),  # parallel
+            ([1.0, 2.0j], [0.0, 0.0]),
+            ([0.0, 0.0, 0.0], [0.3, 1.0 - 1.0j, 2.0]),
+        ]
+        for (h, g), power in itertools.product(pairs, [0.0, 1e-3, 10.0, 1e12]):
+            ch = make(h, g, power)
+            want, got = spectrum(ch).swapped(), spectrum(ch.swapped())
+            for name in ("lambda1", "lambda2", "residual1", "residual2"):
+                assert np.float64(getattr(got, name)).tobytes() == np.float64(
+                    getattr(want, name)
+                ).tobytes()
+            assert got.e1.tobytes() == want.e1.tobytes()
+            assert got.e2.tobytes() == want.e2.tobytes()
+            assert (got.degenerate1, got.degenerate2) == (
+                want.degenerate1, want.degenerate2
+            )
 
     def test_keeps_read_only_copies(self, example_channel):
         h = np.array(golden.EXAMPLE_H, dtype=complex)

@@ -64,6 +64,16 @@ def far_points_case(rng):
     return list(rng.standard_normal((300, 2)) * 1e3), chain
 
 
+def mixed_width_case(rng):
+    # near points with windows of a few segments, and a few far ones (the
+    # arc's centre among them) whose windows span most of a 2,400-vertex arc
+    th = np.sort(rng.random(2400)) * 0.5 * math.pi
+    chain = np.column_stack([np.cos(th), np.sin(th)])
+    near = chain[::4] + 1e-9 * rng.standard_normal((600, 2))
+    far = list(rng.standard_normal((6, 2)) * 3.0) + [(0.0, 0.0), (-5.0, 0.5)]
+    return list(near) + far, chain
+
+
 def decreasing_x_case(rng):
     chain = geometry.concave_chain(geometry.pareto_corners(random_points(rng, 400)))
     return random_points(rng, 300), chain[::-1]
@@ -105,6 +115,7 @@ CASES = [
     staircase_case,
     repeated_vertices_case,
     far_points_case,
+    mixed_width_case,
     decreasing_x_case,
     non_monotone_case,
     scaled_case(1e-160),

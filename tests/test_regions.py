@@ -248,7 +248,7 @@ class TestCapacityRegion:
         # the batched, level-by-level subdivision visits the same parameters
         # as a depth-first recursion over the same corner function
         spec = spectrum(example_channel)
-        corners = regions._corner_fn(example_channel, spec, "alpha")
+        corners = regions._corner_fn(example_channel, spec)
         cfg = SweepConfig(grid_points=9, sagitta_tol=1e-6, segment_tol=segment_tol)
 
         def corner(v):
@@ -283,7 +283,7 @@ class TestCapacityRegion:
         spec = spectrum(example_channel)
         with pytest.warns(SweepTruncated, match="stopped at 20000 parameters"):
             params, points = regions.sweep_corners(
-                example_channel, spec, SweepConfig(sagitta_tol=1e-9), "alpha"
+                example_channel, spec, SweepConfig(sagitta_tol=1e-9)
             )
         assert len(params) == len(points) == regions.MAX_POINTS
 
@@ -313,7 +313,7 @@ class TestCapacityRegion:
             rng = np.random.default_rng(90 + dim)
             ch = make(*_oracles.random_channel(rng, dim, power, "complex"))
         b = capacity_region(ch)
-        corners = regions._corner_fn(ch, spectrum(ch), "alpha")
+        corners = regions._corner_fn(ch, spectrum(ch))
         probes = np.random.default_rng(7).random(4096)
         dist = geometry.min_distances(np.column_stack(corners(probes)), b.hull)
         assert dist.max() <= SweepConfig().sagitta_tol
@@ -325,11 +325,11 @@ class TestCapacityRegion:
 
     def test_segment_tol_alone_splits_only_long_chords(self, example_channel):
         spec = spectrum(example_channel)
-        corners = regions._corner_fn(example_channel, spec, "alpha")
+        corners = regions._corner_fn(example_channel, spec)
 
         def swept(segment_tol):
             cfg = SweepConfig(grid_points=9, sagitta_tol=None, segment_tol=segment_tol)
-            return regions.sweep_corners(example_channel, spec, cfg, "alpha")
+            return regions.sweep_corners(example_channel, spec, cfg)
 
         # no chord is long: each base interval gets its one midpoint only
         assert len(swept(10.0)[0]) == 17
