@@ -242,7 +242,7 @@ def min_distances(points, poly) -> np.ndarray:
     segs = np.stack([ax, ay, vx, vy, np.where(ll > 0.0, ll, 1.0)])
     n, m = pts.shape[0], ax.shape[0]
     lo = np.zeros(n, dtype=np.intp)
-    hi = np.full(n, m - 1, dtype=np.intp)
+    width = np.full(n, m, dtype=np.intp)
 
     scale = float(np.abs(line).max())
     if scale < WINDOW_SCALE_MAX and bool(np.all(xs[1:] >= xs[:-1])):
@@ -260,11 +260,10 @@ def min_distances(points, poly) -> np.ndarray:
         w_lo = np.maximum(np.searchsorted(xs, px - reach, side="left") - 1, 0)
         w_hi = np.minimum(np.searchsorted(xs, px + reach, side="right") - 1, m - 1)
         ok = np.isfinite(reach) & (pt_scale < WINDOW_SCALE_MAX) & (w_hi >= w_lo)
-        lo[ok], hi[ok] = w_lo[ok], w_hi[ok]
+        lo[ok], width[ok] = w_lo[ok], (w_hi - w_lo + 1)[ok]
 
     # widest window first: at offset k the points still measured are the
     # first live[k], whose windows hold more than k segments
-    width = hi - lo + 1
     order = np.argsort(-width)
     lo, px, py, width = lo[order], px[order], py[order], width[order]
     live = np.searchsorted(-width, -np.arange(width[0]), side="left")

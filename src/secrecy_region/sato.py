@@ -7,8 +7,10 @@ minimization over a scalar combining coefficient:
     f1(rho, K_X) = min_nu  log2 [ (h-nu g)^H K_X (h-nu g)
                                   + 1 + |nu|^2 - nu* rho - rho* nu ] / (1-|rho|^2)
 
-and symmetrically f2 with (g - mu h). The objective is a positive-definite
-quadratic in (Re nu, Im nu), so the minimizer is nu* = (g^H K_X h + rho)
+and symmetrically f2 with (g - mu h) and the coupling seen from user 2,
+conj(rho): the noise cross-terms of Y1 - nu Y2 and of Y2 - mu Y1 are
+complex conjugates. The objective is a positive-definite quadratic in
+(Re nu, Im nu), so the minimizer is nu* = (g^H K_X h + rho)
 / (g^H K_X g + 1) and the minimum is available in closed form. The union
 of the rectangles [0,f1] x [0,f2] over all trace-constrained K_X contains
 the capacity region for every admissible rho; the specific coupling
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, linalg
+from . import geometry
 from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
-from .errors import CovarianceInvalid, DegeneratePivot, NumericsError, RhoOnUnitCircle
+from .errors import DegeneratePivot, NumericsError, RhoOnUnitCircle
 from .regions import RegionBoundary, SweepConfig, capacity_region, gamma2, sweep_corners
-from .sdpc import PSD_TOL, TRACE_TOL, _finite
+from .sdpc import _hermitian, _check_dense
 
 #: evaluations require |rho| <= 1 - RHO_EDGE (the 1-|rho|^2 denominator)
 RHO_EDGE = 1e-9
@@ -123,17 +125,8 @@ def _check_rho(rho: complex, edge: float = RHO_EDGE) -> complex:
 
 
 def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
-    k = linalg.hermitize(_finite(k_x))
-    if k.shape[0] != ch.dim:
-        raise CovarianceInvalid(
-            f"K_X dimension {k.shape[0]} != channel dimension {ch.dim}"
-        )
-    trace = float(k.trace().real)
-    low = float(np.linalg.eigvalsh(k)[0])
-    if low < -PSD_TOL * max(1.0, trace):
-        raise CovarianceInvalid(f"K_X has eigenvalue {low:.3e} < 0")
-    if trace > ch.power + TRACE_TOL * max(1.0, ch.power):
-        raise CovarianceInvalid(f"tr(K_X) = {trace:.12g} exceeds {ch.power}")
+    k = _hermitian(k_x)
+    _check_dense(ch, K_X=k)
     return k
 
 
@@ -186,7 +179,8 @@ def sato_f1(
 def sato_f2(
     ch: ChannelPair, rho: complex, k_x: np.ndarray
 ) -> tuple[float, complex]:
-    """User 2's outer bound (scaled to reported-rate units) and mu*."""
+    """User 2's outer bound (scaled to reported-rate units) and mu*, with
+    rho the coupling as user 2 sees it (conj(rho) of a shared coupling)."""
     r = _check_rho(rho)
     k = _check_kx(ch, k_x)
     value, mu = _f_raw(_forms(ch, k)[1], r)
@@ -194,13 +188,13 @@ def sato_f2(
 
 
 def evaluate(ch: ChannelPair, rho: complex, k_x: np.ndarray) -> SatoEvaluation:
-    """Both bounds for one (rho, K_X)."""
+    """Both bounds for one shared coupling rho and K_X."""
     r = _check_rho(rho)
     k = _check_kx(ch, k_x)
     scale = rate_scale(ch)
     forms1, forms2 = _forms(ch, k)
     f1, nu = _f_raw(forms1, r)
-    f2, mu = _f_raw(forms2, r)
+    f2, mu = _f_raw(forms2, r.conjugate())
     return SatoEvaluation(r, k, scale * f1, scale * f2, nu, mu)
 
 
@@ -254,7 +248,8 @@ def _rank_one_bounds(ch: ChannelPair, rho: complex) -> tuple[np.ndarray, np.ndar
     hh = ch.power * np.abs(uh) ** 2
     gg = ch.power * np.abs(ug) ** 2
     gh = ch.power * np.conj(ug) * uh
-    return _bound_values((hh, gg, gh), rho), _bound_values((gg, hh, np.conj(gh)), rho)
+    f2 = _bound_values((gg, hh, np.conj(gh)), rho.conjugate())
+    return _bound_values((hh, gg, gh), rho), f2
 
 
 def _kx_forms(ch: ChannelPair, spec: ChannelSpectrum, alpha) -> tuple[tuple, tuple]:
@@ -295,7 +290,7 @@ def outer_region(ch: ChannelPair, rho: complex) -> RegionBoundary:
     ones1, ones2 = _rank_one_bounds(ch, r)
     # rank-one candidates first, then the boundary covariances
     f1 = scale * np.concatenate([ones1, _bound_values(forms1, r)])
-    f2 = scale * np.concatenate([ones2, _bound_values(forms2, r)])
+    f2 = scale * np.concatenate([ones2, _bound_values(forms2, r.conjugate())])
     tags = np.concatenate([np.full(ones1.size, math.nan), alphas])
     pareto = geometry.pareto_corners(np.column_stack([f1, f2, tags]))
     n = ones1.size
@@ -336,7 +331,7 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
 
     Tightness: at rho* with K_X(alpha) = K_U1 + K_U2, report the per-alpha
     gaps between the bounds and the achievable rates (raw log2 units).
-    Gaps are provably zero at the two corner points when rho* is real.
+    Gaps are provably zero at the two corner points.
     The achievable region is swept on `sweep` (default `AUDIT_SWEEP`).
     """
     spec = spectrum(ch)
@@ -380,7 +375,9 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
     min_gap_f1 = min_gap_f2 = 0.0
     if skipped is None:
         gaps1 = _bound_values(forms1, rho_star) - boundary.points[:, 0] / scale
-        gaps2 = _bound_values(forms2, rho_star) - boundary.points[:, 1] / scale
+        gaps2 = (
+            _bound_values(forms2, rho_star.conjugate()) - boundary.points[:, 1] / scale
+        )
         min_gap_f1 = float(gaps1.min())
         min_gap_f2 = float(gaps2.min())
         for i, tag in ((0, "alpha0"), (-1, "alpha1")):

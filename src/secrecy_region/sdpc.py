@@ -31,12 +31,13 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
-def _finite(k) -> np.ndarray:
-    """k as a complex array, checked first: a NaN passes every PSD and trace test."""
+def _hermitian(k) -> np.ndarray:
+    """k hermitized as a complex array, checked first to be finite: a NaN
+    passes every PSD and trace test."""
     k = np.asarray(k, dtype=complex)
     if not np.isfinite(k).all():
         raise CovarianceInvalid("covariance entries must be finite")
-    return k
+    return linalg.hermitize(k)
 
 
 def _read_only(k: np.ndarray) -> np.ndarray:
@@ -58,7 +59,7 @@ class CovariancePair:
     """
 
     def __init__(self, k_u1: np.ndarray, k_u2: np.ndarray):
-        k_u1, k_u2 = linalg.hermitize(_finite(k_u1)), linalg.hermitize(_finite(k_u2))
+        k_u1, k_u2 = _hermitian(k_u1), _hermitian(k_u2)
         if k_u1.shape != k_u2.shape:
             raise CovarianceInvalid(
                 f"covariance shapes differ: {k_u1.shape} vs {k_u2.shape}"
@@ -103,28 +104,42 @@ class CovariancePair:
         return own, own + (w2 * complex(np.vdot(x, v2)) * complex(np.vdot(v2, x))).real
 
 
+def _check(ch: ChannelPair, names, dim: int, lows, traces) -> None:
+    """The covariance checks: dimension t, each least eigenvalue at least
+    -PSD_TOL max(1, its trace), and the traces' sum within the power budget."""
+    if dim != ch.dim:
+        raise CovarianceInvalid(
+            f"{names[0]} dimension {dim} != channel dimension {ch.dim}"
+        )
+    for name, low, trace in zip(names, lows, traces):
+        if low < -PSD_TOL * max(1.0, trace):
+            raise CovarianceInvalid(f"{name} has eigenvalue {low:.3e} < 0")
+    total = sum(traces)
+    if total > ch.power + TRACE_TOL * max(1.0, ch.power):
+        raise CovarianceInvalid(
+            f"tr({' + '.join(names).upper()}) = {total:.12g} "
+            f"exceeds the power budget {ch.power}"
+        )
+
+
+def _check_dense(ch: ChannelPair, **covariances: np.ndarray) -> None:
+    """`_check` on dense hermitian matrices, keyed by name (also the
+    outer bound's K_X): least eigenvalues by `eigvalsh`, traces summed."""
+    ks = list(covariances.values())
+    lows = [float(np.linalg.eigvalsh(k)[0]) for k in ks]
+    traces = [float(k.trace().real) for k in ks]
+    _check(ch, list(covariances), ks[0].shape[0], lows, traces)
+
+
 def validate_covariances(ch: ChannelPair, cov: CovariancePair) -> None:
     """Check PSD-ness and the total trace budget against ch.power.
 
     A rank-one factor is PSD by construction when its weight is >= 0.
     """
-    factors = cov._factors
-    dim = cov.k_u1.shape[0] if factors is None else factors[0][1].shape[0]
-    if dim != ch.dim:
-        raise CovarianceInvalid(
-            f"covariance dimension {dim} != channel dimension {ch.dim}"
-        )
+    if cov._factors is None:
+        return _check_dense(ch, k_u1=cov.k_u1, k_u2=cov.k_u2)
     traces = cov._traces()
-    lows = traces if factors is not None else [
-        float(np.linalg.eigvalsh(k)[0]) for k in (cov.k_u1, cov.k_u2)
-    ]
-    for name, low, trace in zip(("k_u1", "k_u2"), lows, traces):
-        if low < -PSD_TOL * max(1.0, trace):
-            raise CovarianceInvalid(f"{name} has eigenvalue {low:.3e} < 0")
-    if cov.trace > ch.power + TRACE_TOL * max(1.0, ch.power):
-        raise CovarianceInvalid(
-            f"tr(K_U1 + K_U2) = {cov.trace:.12g} exceeds the power budget {ch.power}"
-        )
+    _check(ch, ("k_u1", "k_u2"), cov._factors[0][1].shape[0], traces, traces)
 
 
 def rate_bounds_raw(ch: ChannelPair, cov: CovariancePair) -> tuple[float, float]:

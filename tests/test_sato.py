@@ -26,7 +26,7 @@ from secrecy_region import (
     spectrum,
     tightness_rho,
 )
-from secrecy_region import geometry, linalg, sato
+from secrecy_region import geometry, linalg, sato, sdpc
 from secrecy_region.sato import evaluate
 
 import _oracles
@@ -518,6 +518,24 @@ class TestAudit:
             report = audit_inner_outer(ch, cfg)
             assert report.tightness_evaluated
             assert max(report.minimizer_spread) <= 1e-9
+
+    @pytest.mark.parametrize("t", [2, 3, 8])
+    def test_complex_rho_star_closes_both_bounds(self, t):
+        # one coupling for both users: at a complex rho*, f1 and f2 of the
+        # boundary covariances meet the achievable rates at every alpha
+        rng = np.random.default_rng(70 + t)
+        ch = make(*_oracles.random_channel(rng, t, 10.0, "complex"))
+        spec = spectrum(ch)
+        rho = tightness_rho(spec, ch.h, ch.g)
+        assert abs(rho.imag) > 1e-3
+        for a in np.linspace(0.0, 1.0, 17).tolist():
+            cov = optimal_covariances(ch, a, spec)
+            ev = evaluate(ch, rho, cov.total)
+            r1, r2 = sdpc.rate_bounds_raw(ch, cov)
+            assert abs(ev.f1 - r1) <= 1e-12 and abs(ev.f2 - r2) <= 1e-12
+        report = audit_inner_outer(ch, SweepConfig(grid_points=65, sagitta_tol=None))
+        assert max(map(abs, report.corner_gaps.values())) <= 1e-12
+        assert abs(report.min_gap_f1) <= 1e-12 and abs(report.min_gap_f2) <= 1e-12
 
     def test_tightness_skipped_says_why(self):
         same = audit_inner_outer(make([1, 0.5j], [1, 0.5j]))
