@@ -113,14 +113,6 @@ def _check_param(value, name: str):
     return float(v) if v.ndim == 0 else v
 
 
-def _split_weights(ch: ChannelPair, first: float, second: float, frac):
-    """Residual-pencil weights (1-f)P / (1 + fP|v^H e|^2) for both users,
-    given |first^H e|^2, |second^H e|^2 of the first-stage eigenvector e."""
-    p = ch.power
-    rest = (1.0 - frac) * p
-    return rest / (1.0 + frac * p * first), rest / (1.0 + frac * p * second)
-
-
 def gamma1(ch: ChannelPair, spec: ChannelSpectrum, alpha):
     """User 1's rate ratio (1 + aP|h^H e1|^2) / (1 + aP|g^H e1|^2).
 
@@ -142,9 +134,10 @@ def gamma2(ch: ChannelPair, spec: ChannelSpectrum, alpha):
     For an array of splits both come back batched: shapes (n,) and (n, t).
     """
     a = _check_param(alpha, "alpha")
-    s_g, s_h = _split_weights(
-        ch, abs(np.vdot(ch.g, spec.e1)) ** 2, abs(np.vdot(ch.h, spec.e1)) ** 2, a
-    )
+    p = ch.power
+    rest = (1.0 - a) * p
+    s_g = rest / (1.0 + a * p * abs(np.vdot(ch.g, spec.e1)) ** 2)
+    s_h = rest / (1.0 + a * p * abs(np.vdot(ch.h, spec.e1)) ** 2)
     res = linalg.plane_top(ch.plane_gh, s_g, s_h)
     return (float(res.lam), res.vec) if type(a) is float else (res.lam, res.vec)
 

@@ -32,8 +32,7 @@ TRACE_TOL = 1e-10
 
 
 def _hermitian(k) -> np.ndarray:
-    """k hermitized as a complex array, checked first to be finite: a NaN
-    passes every PSD and trace test."""
+    """k hermitized, checked first to be finite: a NaN passes every PSD test."""
     k = np.asarray(k, dtype=complex)
     if not np.isfinite(k).all():
         raise CovarianceInvalid("covariance entries must be finite")
@@ -105,8 +104,7 @@ class CovariancePair:
 
 
 def _check(ch: ChannelPair, names, dim: int, lows, traces) -> None:
-    """The covariance checks: dimension t, each least eigenvalue at least
-    -PSD_TOL max(1, its trace), and the traces' sum within the power budget."""
+    """Dimension, PSD (least eigenvalues `lows`) and trace-budget checks."""
     if dim != ch.dim:
         raise CovarianceInvalid(
             f"{names[0]} dimension {dim} != channel dimension {ch.dim}"
@@ -114,21 +112,18 @@ def _check(ch: ChannelPair, names, dim: int, lows, traces) -> None:
     for name, low, trace in zip(names, lows, traces):
         if low < -PSD_TOL * max(1.0, trace):
             raise CovarianceInvalid(f"{name} has eigenvalue {low:.3e} < 0")
-    total = sum(traces)
-    if total > ch.power + TRACE_TOL * max(1.0, ch.power):
+    if sum(traces) > ch.power + TRACE_TOL * max(1.0, ch.power):
+        total = " + ".join(names).upper()
         raise CovarianceInvalid(
-            f"tr({' + '.join(names).upper()}) = {total:.12g} "
-            f"exceeds the power budget {ch.power}"
+            f"tr({total}) = {sum(traces):.12g} exceeds the power budget {ch.power}"
         )
 
 
-def _check_dense(ch: ChannelPair, **covariances: np.ndarray) -> None:
-    """`_check` on dense hermitian matrices, keyed by name (also the
-    outer bound's K_X): least eigenvalues by `eigvalsh`, traces summed."""
-    ks = list(covariances.values())
-    lows = [float(np.linalg.eigvalsh(k)[0]) for k in ks]
-    traces = [float(k.trace().real) for k in ks]
-    _check(ch, list(covariances), ks[0].shape[0], lows, traces)
+def _check_dense(ch: ChannelPair, **ks: np.ndarray) -> None:
+    """`_check` on hermitian matrices keyed by name, the outer bound's K_X too."""
+    lows = [float(np.linalg.eigvalsh(k)[0]) for k in ks.values()]
+    traces = [float(k.trace().real) for k in ks.values()]
+    _check(ch, list(ks), next(iter(ks.values())).shape[0], lows, traces)
 
 
 def validate_covariances(ch: ChannelPair, cov: CovariancePair) -> None:
