@@ -126,7 +126,7 @@ def _check_rho(rho: complex, edge: float = RHO_EDGE) -> complex:
 
 def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
     k = _hermitian(k_x)
-    _check_dense(ch, K_X=k)
+    _check_dense(ch, ("K_X",), (k,))
     return k
 
 

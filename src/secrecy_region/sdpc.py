@@ -119,11 +119,11 @@ def _check(ch: ChannelPair, names, dim: int, lows, traces) -> None:
         )
 
 
-def _check_dense(ch: ChannelPair, **ks: np.ndarray) -> None:
-    """`_check` on hermitian matrices keyed by name, the outer bound's K_X too."""
-    lows = [float(np.linalg.eigvalsh(k)[0]) for k in ks.values()]
-    traces = [float(k.trace().real) for k in ks.values()]
-    _check(ch, list(ks), next(iter(ks.values())).shape[0], lows, traces)
+def _check_dense(ch: ChannelPair, names: tuple, ks: tuple) -> None:
+    """`_check` on hermitian matrices of one shape, the outer bound's K_X too."""
+    lows = [float(np.linalg.eigvalsh(k)[0]) for k in ks]
+    traces = [float(k.trace().real) for k in ks]
+    _check(ch, names, ks[0].shape[0], lows, traces)
 
 
 def validate_covariances(ch: ChannelPair, cov: CovariancePair) -> None:
@@ -132,7 +132,7 @@ def validate_covariances(ch: ChannelPair, cov: CovariancePair) -> None:
     A rank-one factor is PSD by construction when its weight is >= 0.
     """
     if cov._factors is None:
-        return _check_dense(ch, k_u1=cov.k_u1, k_u2=cov.k_u2)
+        return _check_dense(ch, ("k_u1", "k_u2"), (cov.k_u1, cov.k_u2))
     traces = cov._traces()
     _check(ch, ("k_u1", "k_u2"), cov._factors[0][1].shape[0], traces, traces)
 
