@@ -238,8 +238,7 @@ def min_distances(points, poly) -> np.ndarray:
     ax, ay = line[:-1, 0], line[:-1, 1]
     vx, vy = line[1:, 0] - ax, line[1:, 1] - ay
     ll = vx * vx + vy * vy
-    # the segments' (ax, ay, vx, vy, ll) rows, gathered together per index
-    segs = np.stack([ax, ay, vx, vy, np.where(ll > 0.0, ll, 1.0)])
+    ll = np.where(ll > 0.0, ll, 1.0)
     n, m = pts.shape[0], ax.shape[0]
     lo = np.zeros(n, dtype=np.intp)
     width = np.full(n, m, dtype=np.intp)
@@ -248,7 +247,9 @@ def min_distances(points, poly) -> np.ndarray:
     if scale < WINDOW_SCALE_MAX and bool(np.all(xs[1:] >= xs[:-1])):
         j = np.searchsorted(xs, px)
         near = np.clip(np.stack([j - 1, j], axis=1), 0, m - 1)
-        d2 = _segment_d2(px[:, None], py[:, None], *segs[:, near])
+        d2 = _segment_d2(
+            px[:, None], py[:, None], ax[near], ay[near], vx[near], vy[near], ll[near]
+        )
         pt_scale = np.abs(px) + np.abs(py) + scale
         # the 2**-500 floor keeps the padding clear of subnormal rounding
         reach = (
@@ -269,8 +270,9 @@ def min_distances(points, poly) -> np.ndarray:
     live = np.searchsorted(-width, -np.arange(width[0]), side="left")
     best = np.full(n, np.inf)
     for k, c in enumerate(live.tolist()):
-        seg = segs[:, lo[:c] + k]
-        np.minimum(best[:c], _segment_d2(px[:c], py[:c], *seg), out=best[:c])
+        s = lo[:c] + k
+        d2 = _segment_d2(px[:c], py[:c], ax[s], ay[s], vx[s], vy[s], ll[s])
+        np.minimum(best[:c], d2, out=best[:c])
     out = np.empty(n)
     out[order] = np.sqrt(best)
     return out

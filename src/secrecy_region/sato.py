@@ -374,10 +374,9 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
     corner_gaps: dict[str, float] = {}
     min_gap_f1 = min_gap_f2 = 0.0
     if skipped is None:
-        gaps1 = _bound_values(forms1, rho_star) - boundary.points[:, 0] / scale
-        gaps2 = (
-            _bound_values(forms2, rho_star.conjugate()) - boundary.points[:, 1] / scale
-        )
+        rates = boundary.points / scale
+        gaps1 = _bound_values(forms1, rho_star) - rates[:, 0]
+        gaps2 = _bound_values(forms2, rho_star.conjugate()) - rates[:, 1]
         min_gap_f1 = float(gaps1.min())
         min_gap_f2 = float(gaps2.min())
         for i, tag in ((0, "alpha0"), (-1, "alpha1")):
