@@ -99,14 +99,11 @@ class ChannelPair:
         r2 = linalg.plane_top(self.plane_gh, p, p)
         r1.vec.flags.writeable = False
         r2.vec.flags.writeable = False
-        lam1, lam2 = float(r1.lam), float(r2.lam)
         return ChannelSpectrum(
-            lambda1=lam1,
+            lambda1=float(r1.lam),
             e1=r1.vec,
-            lambda2=lam2,
+            lambda2=float(r2.lam),
             e2=r2.vec,
-            residual1=linalg.rank_one_residual(self.h, self.g, p, p, lam1, r1.vec),
-            residual2=linalg.rank_one_residual(self.g, self.h, p, p, lam2, r2.vec),
             degenerate1=bool(r1.gap < linalg.DEGENERACY_GAP),
             degenerate2=bool(r2.gap < linalg.DEGENERACY_GAP),
         )
@@ -130,16 +127,13 @@ class ChannelSpectrum:
     e1: np.ndarray
     lambda2: float
     e2: np.ndarray
-    residual1: float
-    residual2: float
     degenerate1: bool = False
     degenerate2: bool = False
 
     def swapped(self) -> "ChannelSpectrum":
         """The spectrum of the swapped channel: the two pencils exchanged."""
         return ChannelSpectrum(
-            self.lambda2, self.e2, self.lambda1, self.e1,
-            self.residual2, self.residual1, self.degenerate2, self.degenerate1,
+            self.lambda2, self.e2, self.lambda1, self.e1, self.degenerate2, self.degenerate1
         )
 
 

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, output, sato, sdpc
+from . import geometry, linalg, output, sato, sdpc
 from .channel import (
     MODE_COMPLEX,
     MODE_REAL,
@@ -207,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spectrum_payload(ch: ChannelPair) -> dict:
     spec = spectrum(ch)
+    p = ch.power
     feas1, feas2 = is_secrecy_feasible(ch)
     rmax = max_rates(ch)
     return {
@@ -214,8 +215,8 @@ def _spectrum_payload(ch: ChannelPair) -> dict:
         "lambda2": spec.lambda2,
         "e1": [[z.real, z.imag] for z in spec.e1],
         "e2": [[z.real, z.imag] for z in spec.e2],
-        "residual1": spec.residual1,
-        "residual2": spec.residual2,
+        "residual1": linalg.rank_one_residual(ch.h, ch.g, p, p, spec.lambda1, spec.e1),
+        "residual2": linalg.rank_one_residual(ch.g, ch.h, p, p, spec.lambda2, spec.e2),
         "degenerate1": spec.degenerate1,
         "degenerate2": spec.degenerate2,
         "feasible1": feas1,

@@ -14,22 +14,22 @@ import numpy as np
 DEDUP_TOL = 1e-12
 
 
-def pareto_corners(points, tol: float = DEDUP_TOL) -> np.ndarray:
+def pareto_corners(points) -> np.ndarray:
     """Non-dominated rows of an (n, k) array of (x, y, *tags), sorted with
     x strictly increasing, y strictly decreasing; tags ride along.
 
     A point survives iff no other point is >= in both coordinates (ties
-    within tol collapse to one representative). Only the rows that
+    within DEDUP_TOL collapse to one representative). Only the rows that
     `pareto_candidates` keeps are scanned.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         return np.zeros((0, 2))
     rows = pts[pareto_candidates(pts[:, 0], pts[:, 1])][::-1]
-    # by descending x, keep a row whose y clears the last kept y by tol
-    rows = rows[_scan_keep(rows[:, 1], lambda a, b: a > b + tol)][::-1]
+    # by descending x, keep a row whose y clears the last kept y by DEDUP_TOL
+    rows = rows[_scan_keep(rows[:, 1], lambda a, b: a > b + DEDUP_TOL)][::-1]
     # collapse near-duplicate x onto the first, higher-y, representative
-    return rows[_scan_keep(rows[:, 0], lambda a, b: abs(a - b) > tol)]
+    return rows[_scan_keep(rows[:, 0], lambda a, b: abs(a - b) > DEDUP_TOL)]
 
 
 def _scan_keep(v: np.ndarray, keeps) -> list[int]:
@@ -176,13 +176,7 @@ def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 
     All three are (n, 2) arrays; row i pairs points[i] with segment i.
     """
-    px, py = points[:, 0], points[:, 1]
-    ax, ay = a[:, 0], a[:, 1]
-    vx, vy = b[:, 0] - ax, b[:, 1] - ay
-    ll = vx * vx + vy * vy
-    t = ((px - ax) * vx + (py - ay) * vy) / np.where(ll > 0.0, ll, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.hypot(px - (ax + t * vx), py - (ay + t * vy))
+    return np.sqrt(_segment_d2(points[:, 0], points[:, 1], *_segments(a, b)))
 
 
 #: window padding, relative to the coordinate scale, that covers the
@@ -196,6 +190,14 @@ def _xy(seq) -> np.ndarray:
     """(n, 2) float array of the first two coordinates of each row."""
     a = np.asarray(seq, dtype=float)
     return a.reshape(len(a), -1)[:, :2] if len(a) else np.zeros((0, 2))
+
+
+def _segments(a: np.ndarray, b: np.ndarray):
+    """(ax, ay, vx, vy, ll) of the segments a -> b, for `_segment_d2`."""
+    ax, ay = a[:, 0], a[:, 1]
+    vx, vy = b[:, 0] - ax, b[:, 1] - ay
+    ll = vx * vx + vy * vy
+    return ax, ay, vx, vy, np.where(ll > 0.0, ll, 1.0)
 
 
 def _segment_d2(px, py, ax, ay, vx, vy, ll):
@@ -235,10 +237,7 @@ def min_distances(points, poly) -> np.ndarray:
         return np.hypot(pts[:, 0] - line[0, 0], pts[:, 1] - line[0, 1])
     px, py = pts[:, 0], pts[:, 1]
     xs = line[:, 0]
-    ax, ay = line[:-1, 0], line[:-1, 1]
-    vx, vy = line[1:, 0] - ax, line[1:, 1] - ay
-    ll = vx * vx + vy * vy
-    ll = np.where(ll > 0.0, ll, 1.0)
+    ax, ay, vx, vy, ll = _segments(line[:-1], line[1:])
     n, m = pts.shape[0], ax.shape[0]
     lo = np.zeros(n, dtype=np.intp)
     width = np.full(n, m, dtype=np.intp)

@@ -216,18 +216,14 @@ def _svg_path(points, to_px) -> str:
     return cmds % tuple(np.column_stack([px, py]).ravel().tolist())
 
 
-def region_svg(
-    curves: list[tuple[str, np.ndarray, str]],
-    x_label: str = "user-1 rate (bits/channel use)",
-    y_label: str = "user-2 rate (bits/channel use)",
-) -> str:
+def region_svg(curves: list[tuple[str, np.ndarray, str]]) -> str:
     """Self-contained SVG with inline polylines, no timestamps or assets.
 
     curves: (name, polyline, style) with style "solid" or "dashdot"; a
     polyline is an (n, 2) array or a sequence of (x, y) pairs.
     """
-    width, height = 560, 460
-    margin = 60
+    width, height, margin = 560, 460, 60
+    ax_color = "#333333"
     xy = [np.asarray(pts, dtype=float).reshape(-1, 2) for _, pts, _ in curves]
     x_max = max((float(a[:, 0].max()) for a in xy if len(a)), default=1.0)
     y_max = max((float(a[:, 1].max()) for a in xy if len(a)), default=1.0)
@@ -239,66 +235,47 @@ def region_svg(
         py = height - margin - (y / y_max) * (height - 2 * margin)
         return px, py
 
+    def line(x1, y1, x2, y2, color=ax_color, stroke="1", dash="") -> str:
+        return (
+            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+            f'stroke="{color}" stroke-width="{stroke}"{dash}/>'
+        )
+
+    def text(x, y, size, body, anchor="", tail="") -> str:
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        return (
+            f'<text x="{fmt(x)}" y="{fmt(y)}" font-size="{size}"{anchor} '
+            f'fill="{ax_color}"{tail}>{body}</text>'
+        )
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    ax_color = "#333333"
     x0, y0 = to_px(0.0, 0.0)
-    x1, _ = to_px(x_max, 0.0)
-    _, y1 = to_px(0.0, y_max)
-    parts.append(
-        f'<line x1="{fmt(x0)}" y1="{fmt(y0)}" x2="{fmt(x1)}" y2="{fmt(y0)}" '
-        f'stroke="{ax_color}" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{fmt(x0)}" y1="{fmt(y0)}" x2="{fmt(x0)}" y2="{fmt(y1)}" '
-        f'stroke="{ax_color}" stroke-width="1"/>'
-    )
-    # ticks every ~0.25 bits, never more than 12 per axis
-    def tick_step(span: float) -> float:
+    x1, y1 = to_px(x_max, y_max)
+    parts += [line(x0, y0, x1, y0), line(x0, y0, x0, y1)]
+    # ticks every 0.25 bits, the step doubled until at most 12 fit an axis;
+    # a tick reaches `left` px left of and `down` px below its axis point
+    for span, at, (left, down), (dx, dy, anchor) in (
+        (x_max, lambda t: to_px(t, 0.0), (0, 5), (0, 18, "middle")),
+        (y_max, lambda t: to_px(0.0, t), (5, 0), (-8, 4, "end")),
+    ):
         step = 0.25
         while span / step > 12:
             step *= 2
-        return step
-
-    step = tick_step(x_max)
-    t = step
-    while t <= x_max + 1e-12:
-        px, py = to_px(t, 0.0)
-        parts.append(
-            f'<line x1="{fmt(px)}" y1="{fmt(py)}" x2="{fmt(px)}" y2="{fmt(py + 5)}" '
-            f'stroke="{ax_color}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{fmt(px)}" y="{fmt(py + 18)}" font-size="11" '
-            f'text-anchor="middle" fill="{ax_color}">{fmt(round(t, 6))}</text>'
-        )
-        t += step
-    step = tick_step(y_max)
-    t = step
-    while t <= y_max + 1e-12:
-        px, py = to_px(0.0, t)
-        parts.append(
-            f'<line x1="{fmt(px - 5)}" y1="{fmt(py)}" x2="{fmt(px)}" y2="{fmt(py)}" '
-            f'stroke="{ax_color}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{fmt(px - 8)}" y="{fmt(py + 4)}" font-size="11" '
-            f'text-anchor="end" fill="{ax_color}">{fmt(round(t, 6))}</text>'
-        )
-        t += step
-    parts.append(
-        f'<text x="{fmt(width / 2)}" y="{fmt(height - 15)}" font-size="13" '
-        f'text-anchor="middle" fill="{ax_color}">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{fmt(height / 2)}" font-size="13" text-anchor="middle" '
-        f'fill="{ax_color}" transform="rotate(-90 18 {fmt(height / 2)})">{y_label}</text>'
-    )
+        t = step
+        while t <= span + 1e-12:
+            px, py = at(t)
+            parts.append(line(px - left, py, px, py + down))
+            parts.append(text(px + dx, py + dy, 11, fmt(round(t, 6)), anchor))
+            t += step
+    label = "user-{} rate (bits/channel use)"
+    parts.append(text(width / 2, height - 15, 13, label.format(1), "middle"))
+    rotate = f' transform="rotate(-90 18 {fmt(height / 2)})"'
+    parts.append(text(18, height / 2, 13, label.format(2), "middle", rotate))
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
-    legend_y = margin - 30
     for i, (name, pts, style) in enumerate(curves):
         color = palette[i % len(palette)]
         dash = ' stroke-dasharray="10 4 2 4"' if style == "dashdot" else ""
@@ -310,15 +287,7 @@ def region_svg(
                 f'<path d="{_svg_path(pts, to_px)}" fill="none" stroke="{color}" '
                 f'stroke-width="1.8"{dash}/>'
             )
-        lx = margin + 10
-        ly = legend_y + 16 * i
-        parts.append(
-            f'<line x1="{fmt(lx)}" y1="{fmt(ly)}" x2="{fmt(lx + 30)}" y2="{fmt(ly)}" '
-            f'stroke="{color}" stroke-width="1.8"{dash}/>'
-        )
-        parts.append(
-            f'<text x="{fmt(lx + 36)}" y="{fmt(ly + 4)}" font-size="12" '
-            f'fill="{ax_color}">{name}</text>'
-        )
+        lx, ly = margin + 10, margin - 30 + 16 * i
+        parts += [line(lx, ly, lx + 30, ly, color, "1.8", dash), text(lx + 36, ly + 4, 12, name)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -336,22 +336,24 @@ def region_contains(boundary: RegionBoundary, p: RatePair, tol: float = 1e-9) ->
 def equal_rate_point(boundary: RegionBoundary) -> float:
     """Largest c with (c, c) inside the region: the frontier/diagonal
     crossing of a convex boundary, the best corner of the outer bound's
-    staircase (a chord would overstate that union of rectangles)."""
+    staircase (a chord would overstate that union of rectangles).
+
+    Along a concave frontier y - x falls strictly, so the crossing lies on
+    the segment into the first vertex below the diagonal; left of its
+    first vertex the frontier is level at that vertex's height.
+    """
     frontier = boundary.frontier()
     if len(frontier) == 0:
         return 0.0
     if boundary.kind == "outer":
         return float(np.minimum(frontier[:, 0], frontier[:, 1]).max())
-    hi = float(frontier[-1, 0])
-    if geometry.frontier_value(frontier, hi) >= hi:
-        return hi
-    lo = 0.0
-    if geometry.frontier_value(frontier, 0.0) <= 0.0:
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if geometry.frontier_value(frontier, mid) >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    below = np.flatnonzero(frontier[:, 1] < frontier[:, 0])
+    if len(below) == 0:
+        return float(frontier[-1, 0])
+    k = int(below[0])
+    if k == 0:
+        y0 = float(frontier[0, 1])
+        return y0 if y0 > 0.0 else 0.0
+    (x0, y0), (x1, y1) = frontier[k - 1 : k + 1].tolist()
+    d0, d1 = y0 - x0, y1 - x1
+    return x0 + d0 / (d0 - d1) * (x1 - x0)

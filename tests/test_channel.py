@@ -24,7 +24,7 @@ from secrecy_region import (
     tightness_rho,
     verify_identity_eq9,
 )
-from secrecy_region import linalg
+from secrecy_region import cli, linalg
 
 import _oracles
 import golden
@@ -75,7 +75,7 @@ class TestChannelPair:
         for (h, g), power in itertools.product(pairs, [0.0, 1e-3, 10.0, 1e12]):
             ch = make(h, g, power)
             want, got = spectrum(ch).swapped(), spectrum(ch.swapped())
-            for name in ("lambda1", "lambda2", "residual1", "residual2"):
+            for name in ("lambda1", "lambda2"):
                 assert np.float64(getattr(got, name)).tobytes() == np.float64(
                     getattr(want, name)
                 ).tobytes()
@@ -225,9 +225,14 @@ class TestSpectrum:
             assert np.array_equal(a.e1, b.e2) and np.array_equal(a.e2, b.e1)
 
     def test_residual_contract(self, example_channel):
-        spec = spectrum(example_channel)
-        assert spec.residual1 <= 1e-9
-        assert spec.residual2 <= 1e-9
+        # ||(A - lambda B) e|| of each top pair, the values `spectrum` prints
+        ch, spec = example_channel, spectrum(example_channel)
+        p = ch.power
+        res1 = linalg.rank_one_residual(ch.h, ch.g, p, p, spec.lambda1, spec.e1)
+        res2 = linalg.rank_one_residual(ch.g, ch.h, p, p, spec.lambda2, spec.e2)
+        assert res1 <= 1e-9 and res2 <= 1e-9
+        payload = cli._spectrum_payload(ch)
+        assert (payload["residual1"], payload["residual2"]) == (res1, res2)
 
 
 class TestFeasibility:

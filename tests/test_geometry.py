@@ -23,15 +23,39 @@ def brute_min_distances(points, poly):
         return np.hypot(px - line[0, 0], py - line[0, 1])
     best = np.full(px.shape[0], np.inf)
     for i in range(line.shape[0] - 1):
-        ax, ay = line[i]
-        vx, vy = line[i + 1, 0] - ax, line[i + 1, 1] - ay
-        ll = vx * vx + vy * vy
-        ll = ll if ll > 0.0 else 1.0
-        dx, dy = px - ax, py - ay
-        t = np.clip((dx * vx + dy * vy) / ll, 0.0, 1.0)
-        ex, ey = dx - t * vx, dy - t * vy
-        best = np.minimum(best, ex * ex + ey * ey)
+        best = np.minimum(best, pair_d2(px, py, line[i], line[i + 1]))
     return np.sqrt(best)
+
+
+def pair_d2(px, py, a, b):
+    """Squared distance from (px, py) to the one segment [a, b]."""
+    ax, ay = a
+    vx, vy = b[0] - ax, b[1] - ay
+    ll = vx * vx + vy * vy
+    ll = ll if ll > 0.0 else 1.0
+    dx, dy = px - ax, py - ay
+    t = np.clip((dx * vx + dy * vy) / ll, 0.0, 1.0)
+    ex, ey = dx - t * vx, dy - t * vy
+    return ex * ex + ey * ey
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_segment_distances_match_per_pair(seed):
+    # row i against its own segment by the brute-force loop's arithmetic,
+    # up to a few ulps of the coordinates: points on and off the segments,
+    # past either end, and zero-length segments among them
+    rng = np.random.default_rng(seed)
+    n = 400
+    a = 3.0 * rng.random((n, 2))
+    b = a + rng.standard_normal((n, 2)) * rng.choice([0.0, 1e-9, 1.0, 10.0], (n, 1))
+    points = 3.0 * rng.random((n, 2))
+    on = rng.random(n) < 0.25
+    w = rng.uniform(-0.5, 1.5, (n, 1))
+    points[on] = (a + w * (b - a))[on]
+    got = geometry.segment_distances(points, a, b)
+    want = [math.sqrt(pair_d2(p[0], p[1], s, e)) for p, s, e in zip(points, a, b)]
+    scale = np.abs(points).sum(axis=1) + np.abs(a).sum(axis=1) + np.abs(b).sum(axis=1)
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
 
 
 def random_points(rng, n):

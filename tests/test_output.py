@@ -207,6 +207,57 @@ class TestSvg:
         )
         assert output._svg_path(pts, to_px) == ref
 
+    def test_axes_ticks_and_legend(self):
+        # x reaches 2.8 and y 6, plus 5% headroom: 11.76 ticks of 0.25 bits
+        # fit the x axis; the y axis would take 25.2, then 12.6, so its step
+        # is doubled twice, to 1 bit
+        curves = [
+            ("region", [(0.0, 6.0), (1.0, 5.0), (2.8, 0.0)], "solid"),
+            ("sharing", [(0.0, 1.0), (1.0, 0.0)], "dashdot"),
+        ]
+        root = ET.fromstring(output.region_svg(curves))
+        ns = "{http://www.w3.org/2000/svg}"
+        x_max, y_max = 2.8 * 1.05, 6.0 * 1.05
+
+        def to_px(x, y):
+            return 60 + x / x_max * 440, 400 - y / y_max * 340
+
+        def at(el, *keys):
+            return [float(el.get(k)) for k in keys or ("x1", "y1", "x2", "y2")]
+
+        lines = list(root.iter(ns + "line"))
+        axis = [el for el in lines if el.get("stroke") == "#333333"]
+        legend = [el for el in lines if el.get("stroke") != "#333333"]
+        x0, y0 = to_px(0.0, 0.0)
+        x1, y1 = to_px(x_max, y_max)
+        np.testing.assert_allclose(at(axis[0]), [x0, y0, x1, y0])
+        np.testing.assert_allclose(at(axis[1]), [x0, y0, x0, y1])
+
+        labels = [el for el in root.iter(ns + "text") if el.get("font-size") == "11"]
+        x_ticks = [0.25 * k for k in range(1, 12)]
+        y_ticks = [1.0 * k for k in range(1, 7)]
+        assert len(axis) == 2 + len(x_ticks) + len(y_ticks)
+        assert [el.text for el in labels] == [output.fmt(t) for t in x_ticks + y_ticks]
+        for t, tick, label in zip(x_ticks, axis[2:], labels):
+            px, py = to_px(t, 0.0)
+            np.testing.assert_allclose(at(tick), [px, py, px, py + 5])
+            assert label.get("text-anchor") == "middle"
+            np.testing.assert_allclose(at(label, "x", "y"), [px, py + 18])
+        for t, tick, label in zip(y_ticks, axis[2 + len(x_ticks) :], labels[len(x_ticks) :]):
+            px, py = to_px(0.0, t)
+            np.testing.assert_allclose(at(tick), [px - 5, py, px, py])
+            assert label.get("text-anchor") == "end"
+            np.testing.assert_allclose(at(label, "x", "y"), [px - 8, py + 4])
+
+        assert [el.get("stroke") for el in legend] == ["#1f77b4", "#d62728"]
+        assert [el.get("stroke-dasharray") for el in legend] == [None, "10 4 2 4"]
+        for i, el in enumerate(legend):
+            np.testing.assert_allclose(at(el), [70, 30 + 16 * i, 100, 30 + 16 * i])
+        names = [el.text for el in root.iter(ns + "text") if el.get("font-size") == "12"]
+        assert names == ["region", "sharing"]
+        titles = [el.text for el in root.iter(ns + "text") if el.get("font-size") == "13"]
+        assert titles == [f"user-{k} rate (bits/channel use)" for k in (1, 2)]
+
     def test_single_point_curve(self):
         svg = output.region_svg([("point", [(0.0, 0.0)], "solid")])
         assert "<circle" in svg

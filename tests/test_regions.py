@@ -1,6 +1,8 @@
 """Region sweep, corner identities, hull geometry and duality."""
 
+import bisect
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -381,7 +383,61 @@ class TestBetaParametrization:
         assert hd <= 1e-6
 
 
+def bisect_equal_rate(frontier, steps: int = 200) -> float:
+    """Largest c with (c, c) under a frontier polyline, by bisection on its
+    interpolated height; left of its first vertex the frontier is level."""
+    xs, ys = [p[0] for p in frontier], [p[1] for p in frontier]
+
+    def height(x):
+        if x <= xs[0]:
+            return ys[0]
+        i = min(bisect.bisect_right(xs, x), len(xs) - 1)
+        w = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+        return ys[i - 1] + w * (ys[i] - ys[i - 1])
+
+    lo, hi = 0.0, xs[-1]
+    if height(hi) >= hi:
+        return hi
+    if height(lo) <= lo:
+        return lo
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if height(mid) >= mid else (lo, mid)
+    return lo
+
+
 class TestEqualRatePoint:
+    def test_matches_bisection(self):
+        # the crossing of each frontier with the diagonal, against 200
+        # bisection steps: within 1 ulp on the example's boundaries (both
+        # variants, P from 0 to 1e12) and on seeded random channels' ones
+        boundaries = []
+        for g2, power in itertools.product((0.872, 0.871), (0.0, 1e-6, 1.0, 10.0, 1e12)):
+            ch = make([1.5, 0.0], [1.801, g2], power, "real")
+            boundaries += [capacity_region(ch, LIGHT), time_sharing_region(ch)]
+        rng = np.random.default_rng(17)
+        for t, power in itertools.product((2, 3, 8), (0.1, 10.0, 1e4)):
+            ch = make(*_oracles.random_channel(rng, t, power, "complex")[:2], power)
+            boundaries += [capacity_region(ch, LIGHT), time_sharing_region(ch)]
+        for b in boundaries:
+            got, want = equal_rate_point(b), bisect_equal_rate(b.hull.tolist())
+            assert abs(got - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize(
+        "hull, c",
+        [
+            ([(0.0, 3.0), (1.0, 2.5), (2.0, 2.0)], 2.0),  # above the diagonal
+            ([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)], 1.0),  # a vertex on it
+            ([(2.0, 0.5)], 0.5),  # single points: the dominated rectangle
+            ([(0.5, 2.0)], 0.5),
+            ([(0.0, 0.0)], 0.0),
+        ],
+    )
+    def test_frontier_shapes(self, hull, c):
+        hull = np.array(hull)
+        b = regions.RegionBoundary(np.zeros(0), np.zeros((0, 2)), hull, np.zeros(len(hull)))
+        assert equal_rate_point(b) == c == bisect_equal_rate(hull.tolist())
+
     def test_diagonal_point_on_each_boundary_kind(self, example_channel):
         # (c, c) lies inside and (c + 1e-6, c + 1e-6) does not, on a convex
         # frontier, a segment and the outer bound's staircase alike
