@@ -104,6 +104,8 @@ class ChannelPair:
             e1=r1.vec,
             lambda2=float(r2.lam),
             e2=r2.vec,
+            proj1=tuple(float(abs(np.vdot(x, r1.vec)) ** 2) for x in (self.h, self.g)),
+            proj2=tuple(float(abs(np.vdot(x, r2.vec)) ** 2) for x in (self.g, self.h)),
             degenerate1=bool(r1.gap < linalg.DEGENERACY_GAP),
             degenerate2=bool(r2.gap < linalg.DEGENERACY_GAP),
         )
@@ -121,19 +123,23 @@ class ChannelPair:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpectrum:
-    """Largest generalized eigenpairs of the two user pencils."""
+    """Largest generalized eigenpairs of the two user pencils, with
+    proj1 = (|h^H e1|^2, |g^H e1|^2) and proj2 = (|g^H e2|^2, |h^H e2|^2)."""
 
     lambda1: float
     e1: np.ndarray
     lambda2: float
     e2: np.ndarray
+    proj1: tuple[float, float]
+    proj2: tuple[float, float]
     degenerate1: bool = False
     degenerate2: bool = False
 
     def swapped(self) -> "ChannelSpectrum":
         """The spectrum of the swapped channel: the two pencils exchanged."""
         return ChannelSpectrum(
-            self.lambda2, self.e2, self.lambda1, self.e1, self.degenerate2, self.degenerate1
+            self.lambda2, self.e2, self.lambda1, self.e1,
+            self.proj2, self.proj1, self.degenerate2, self.degenerate1,
         )
 
 

@@ -4,13 +4,16 @@ Every pencil here is (I + a u u^H, I + b w w^H) with u, w in {h, g}. On the
 orthocomplement of span{u, w} it acts as (I, I), so its top eigenpair comes
 from a 2x2 problem on that span and depends only on a, b and the Gram data
 |u|, |w|, u^H w, whatever the antenna count. `span_plane` reduces (u, w) to
-that data once; `plane_top` solves the 2x2 problem in closed form, for one
-pair of weights (a, b) or vectorised over arrays of them.
+that data once. The coefficient kernel `plane_coeffs` solves the 2x2
+problem in closed form, for one pair of weights (a, b) or vectorised over
+arrays of them, and returns the top vector as coefficients (x0, x1) on the
+plane's basis (q1, q2), so that projections need no t-vector; `lift`
+builds the t-vector where one leaves the package.
 """
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -25,17 +28,10 @@ DEGENERACY_GAP = 1e-10
 PARALLEL_TOL = 1e-14
 
 
-class RankOneTop(NamedTuple):
-    """Top eigenpairs of rank-one pencils, shaped like the broadcast weights.
-
-    lam -- largest eigenvalues, shape s
-    vec -- unit eigenvectors, phase-fixed, shape s + (t,)
-    gap -- distance from lam to the next eigenvalue, shape s
-    """
-
-    lam: np.ndarray
-    vec: np.ndarray
-    gap: np.ndarray
+#: top eigenpairs of rank-one pencils, shaped like the broadcast weights s:
+#: largest eigenvalues lam (s), unit phase-fixed eigenvectors vec (s + (t,))
+#: and the distance gap (s) from lam to the next eigenvalue
+RankOneTop = namedtuple("RankOneTop", "lam vec gap")
 
 
 def as_complex_vector(entries) -> np.ndarray:
@@ -167,25 +163,26 @@ def _plane(du: tuple, dw: tuple, t: int) -> SpanPlane:
     return SpanPlane(nu, nw, q1, q2, c, s)
 
 
-#: what `plane_top` calls NumPy for, on one pair of float weights: the same
-#: IEEE operations (maximum propagates NaN like np.maximum), no size-1 arrays
-_FLOAT_OPS = SimpleNamespace(
-    all=bool,
-    any=bool,
-    isfinite=math.isfinite,
-    sqrt=math.sqrt,
-    maximum=lambda x, y: x if x >= y or x != x else y,
-    where=lambda cond, x, y: x if cond else y,
-)
-
-
 def top_rank_one_eig(u, w, a, b) -> RankOneTop:
     """Top eigenpairs of (I + a u u^H, I + b w w^H); see `plane_top`."""
     return plane_top(span_plane(u, w), a, b)
 
 
 def plane_top(plane: SpanPlane, a, b) -> RankOneTop:
-    """Top eigenpairs of (I + a u u^H, I + b w w^H) from the plane of (u, w).
+    """`plane_coeffs` with the vectors lifted; 0-d weights give NumPy scalars."""
+    lam, x0, x1, gap = plane_coeffs(plane, a, b)
+    if np.ndim(lam) == 0:
+        lam, gap = np.float64(lam), np.float64(gap)
+    return RankOneTop(lam, lift(plane, x0, x1), gap)
+
+
+#: `RankOneTop` with the vector as coefficients x0 >= 0 and x1 on (q1, q2), up
+#: to a phase (x0 = x1 = 0: orthogonal to the plane); floats for 0-d weights
+PlaneTop = namedtuple("PlaneTop", "lam x0 x1 gap")
+
+
+def plane_coeffs(plane: SpanPlane, a, b) -> PlaneTop:
+    """The top eigenpair of (I + a u u^H, I + b w w^H) on the plane of (u, w).
 
     With pa = a|u|^2, pb = b|w|^2, sigma = max(pa, pb), ra = pa/sigma and
     rb = pb/sigma, mu = lambda - 1 of the top eigenvalue is sigma * m,
@@ -199,87 +196,109 @@ def plane_top(plane: SpanPlane, a, b) -> RankOneTop:
     as the weights go to 0, and dividing by sigma keeps the intermediates
     of order one. The eigenvector is the null vector of N - m I read off its
     second row, (m + lambda rb s^2) q1 - lambda rb conj(c) s q2, whose two
-    coefficients carry no cancellation.
+    coefficients carry no cancellation; they are scaled to unit norm.
 
-    At a = b = 0 the pencil is (I, I) and every vector is an eigenvector; the
-    returned one is the limit along a = b -> 0+, the top eigenvector of
-    u u^H - w w^H on span{u, w}. When the top eigenvalue is the
-    orthocomplement's 1 (parallel u, w with pa < pb, or u = 0) the returned
-    vector is orthogonal to the common direction.
+    At a = b = 0 the pencil is (I, I); the vector is the limit along a = b
+    -> 0+, the top eigenvector of u u^H - w w^H on span{u, w}. When the top
+    eigenvalue is the orthocomplement's 1 (parallel u, w with pa < pb, or
+    u = 0) the vector is orthogonal to the plane; a tie keeps q1.
 
     The weights a, b >= 0 are scalars or arrays, broadcast together. Two
-    0-d weights run the same operations on Python floats and NumPy complex
-    scalars (`_FLOAT_OPS`), with the bits of an array of weights.
+    0-d weights run the same IEEE operations on Python floats, with the
+    bits of an array of weights; x1 is formed from its two parts, scaled by
+    reciprocals as NumPy divides a complex by a real.
     """
-    nu, nw, q1, q2, c, s = plane
-    t = q1.shape[0]
     # float weights, np.float64 among them, need no np.ndim call
     scalar = isinstance(a, float) and isinstance(b, float) or np.ndim(a) == np.ndim(b) == 0
     if scalar:
-        xp, a, b = _FLOAT_OPS, float(a), float(b)
+        a, b = float(a), float(b)
     else:
-        xp = np
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        shape = a.shape
-        a, b = a.ravel(), b.ravel()
-    if xp.any((a < 0.0) | (b < 0.0)):
+    if (a < 0.0 or b < 0.0) if scalar else np.any((a < 0.0) | (b < 0.0)):
         raise ValueError("pencil weights must be nonnegative")
-
+    nu, nw, q1, _, c, s = plane
     try:  # the square of a Python-float norm above ~1.3e154 overflows
         pa, pb = a * nu**2, b * nw**2
     except OverflowError:
         raise NumericsError("pencil weight overflows") from None
-    sigma = xp.maximum(pa, pb)
-    if not xp.all(xp.isfinite(sigma)):
+    if scalar:
+        return _coeffs_float(plane, pa, pb)
+    sigma = np.maximum(pa, pb)
+    if not np.all(np.isfinite(sigma)):
         raise NumericsError("pencil weight overflows")
-    live = sigma > 0.0
-    safe = xp.where(live, sigma, 1.0)
+    live, top_norm = sigma > 0.0, max(nu, nw) ** 2 or 1.0
+    safe = np.where(live, sigma, 1.0)
     # a = b = 0: the limit along a = b -> 0+ weighs the two sides |u|^2 : |w|^2
-    top_norm = max(nu, nw) ** 2 or 1.0
-    ra = xp.where(live, pa / safe, nu**2 / top_norm)
-    rb = xp.where(live, pb / safe, nw**2 / top_norm)
-
+    ra = np.where(live, pa / safe, nu**2 / top_norm)
+    rb = np.where(live, pb / safe, nw**2 / top_norm)
     s2 = s * s
     d = ra * rb * s2
-    lin = ra - rb + sigma * d
-    quad = 1.0 + pb
+    lin, quad = ra - rb + sigma * d, 1.0 + pb
     # root = sqrt(lin^2 + 4 quad d) without overflow, by correctly rounded
     # ops; squares as x * x, which Python's x ** 2 (C pow) is not always
-    other = 2.0 * xp.sqrt(quad) * xp.sqrt(d)
-    big = xp.maximum(abs(lin), other)
-    big_safe = xp.where(big > 0.0, big, 1.0)
+    other = 2.0 * np.sqrt(quad) * np.sqrt(d)
+    big = np.maximum(abs(lin), other)
+    big_safe = np.where(big > 0.0, big, 1.0)
     x, y = lin / big_safe, other / big_safe
-    root = big * xp.sqrt(x * x + y * y)
-    m = xp.where(
-        lin >= 0.0,
-        (lin + root) / (2.0 * quad),
-        2.0 * d / xp.where(root - lin > 0.0, root - lin, 1.0),
-    )
-    lam = 1.0 + sigma * m
-    gap = sigma * (root / quad if t == 2 else m)
-
-    # x1 is complex: NumPy's complex division, not Python's, on a scalar too
-    x0 = m + lam * rb * s2
-    x1 = -(lam * rb * s) * np.conj(c)
-    scale = xp.maximum(x0, xp.maximum(abs(x1.real), abs(x1.imag)))
-    scale_safe = xp.where(scale > 0.0, scale, 1.0)
-    x0 = x0 / scale_safe
-    x1 = x1 / scale_safe
-    norm = xp.sqrt(x0 * x0 + x1.real * x1.real + x1.imag * x1.imag)
-    norm = xp.where(norm > 0.0, norm, 1.0)
-    x0 = x0 / norm
-    x1 = x1 / norm
-    # no null vector on the span: a tie keeps q1, else the top is orthogonal
-    if scalar:
-        vec = (_orthogonal_unit(q1) if lin < 0.0 else q1) if scale == 0.0 else x0 * q1 + x1 * q2
-        return RankOneTop(np.float64(lam), phase_normalize(vec), np.float64(gap))
-    vec = x0[:, None] * q1 + x1[:, None] * q2
+    root = big * np.sqrt(x * x + y * y)
+    rest = 2.0 * d / np.where(root - lin > 0.0, root - lin, 1.0)
+    m = np.where(lin >= 0.0, (lin + root) / (2.0 * quad), rest)
+    lam, gap = 1.0 + sigma * m, sigma * (root / quad if q1.shape[0] == 2 else m)
+    x0, k = m + lam * rb * s2, lam * rb * s
+    x1r, x1i = -(k * c.real), k * c.imag
+    scale = np.maximum(x0, np.maximum(abs(x1r), abs(x1i)))
     empty = scale == 0.0
+    scale = np.where(empty, 1.0, scale)
+    x0, x1r, x1i = x0 / scale, x1r * (1.0 / scale), x1i * (1.0 / scale)
+    norm = np.where(empty, 1.0, np.sqrt(x0 * x0 + x1r * x1r + x1i * x1i))
+    # no null vector on the span: a tie keeps q1, else the top leaves the plane
+    x0 = np.where(empty, np.where(lin < 0.0, 0.0, 1.0), x0 / norm)
+    x1 = (x1r * (1.0 / norm)).astype(complex)
+    x1.imag = x1i * (1.0 / norm)
+    return PlaneTop(lam, x0, x1, gap)
+
+
+def _coeffs_float(plane: SpanPlane, pa: float, pb: float) -> PlaneTop:
+    """`plane_coeffs` on one pair of float weights pa = a|u|^2, pb = b|w|^2."""
+    nu, nw, q1, _, c, s = plane
+    sigma = pa if pa >= pb or pa != pa else pb  # np.maximum, NaN included
+    if not math.isfinite(sigma):
+        raise NumericsError("pencil weight overflows")
+    top_norm = sigma if sigma > 0.0 else max(nu, nw) ** 2 or 1.0
+    ra, rb = (pa, pb) if sigma > 0.0 else (nu**2, nw**2)
+    ra, rb, s2 = ra / top_norm, rb / top_norm, s * s
+    d = ra * rb * s2
+    lin, quad = ra - rb + sigma * d, 1.0 + pb
+    other = 2.0 * math.sqrt(quad) * math.sqrt(d)
+    big = max(abs(lin), other)
+    x, y = (lin / big, other / big) if big > 0.0 else (lin, other)
+    root = big * math.sqrt(x * x + y * y)
+    rest = 2.0 * d / (root - lin if root - lin > 0.0 else 1.0)
+    m = (lin + root) / (2.0 * quad) if lin >= 0.0 else rest
+    lam, gap = 1.0 + sigma * m, sigma * (root / quad if q1.shape[0] == 2 else m)
+    x0, k = m + lam * rb * s2, lam * rb * s
+    x1r, x1i = -(k * c.real), k * c.imag
+    scale = max(x0, abs(x1r), abs(x1i))
+    if scale == 0.0:
+        return PlaneTop(lam, 0.0 if lin < 0.0 else 1.0, complex(x1r, x1i), gap)
+    x0, x1r, x1i = x0 / scale, x1r * (1.0 / scale), x1i * (1.0 / scale)
+    norm = math.sqrt(x0 * x0 + x1r * x1r + x1i * x1i)
+    return PlaneTop(lam, x0 / norm, complex(x1r * (1.0 / norm), x1i * (1.0 / norm)), gap)
+
+
+def lift(plane: SpanPlane, x0, x1) -> np.ndarray:
+    """The phase-normalized t-vector(s) x0 q1 + x1 q2 of `plane_coeffs`'
+    coefficients; x0 = x1 = 0 lifts to a unit vector orthogonal to the plane."""
+    q1, q2 = plane.q1, plane.q2
+    if isinstance(x0, float) or np.ndim(x0) == 0:
+        vec = _orthogonal_unit(q1) if x0 == 0.0 and x1 == 0.0 else x0 * q1 + x1 * q2
+        return phase_normalize(vec)
+    shape, x0, x1 = np.shape(x0), np.ravel(x0), np.ravel(x1)
+    vec = x0[:, None] * q1 + x1[:, None] * q2
+    empty = (x0 == 0.0) & (x1 == 0.0)
     if np.any(empty):
-        fallback = np.where((lin < 0.0)[:, None], _orthogonal_unit(q1), q1)
-        vec = np.where(empty[:, None], fallback, vec)
-    vec = phase_normalize(vec)
-    return RankOneTop(lam.reshape(shape), vec.reshape(shape + (t,)), gap.reshape(shape))
+        vec = np.where(empty[:, None], _orthogonal_unit(q1), vec)
+    return phase_normalize(vec).reshape(shape + q1.shape)
 
 
 def rank_one_residual(u, w, a: float, b: float, lam: float, e: np.ndarray) -> float:

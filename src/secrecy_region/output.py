@@ -256,8 +256,9 @@ def region_svg(curves: list[tuple[str, np.ndarray, str]]) -> str:
     x0, y0 = to_px(0.0, 0.0)
     x1, y1 = to_px(x_max, y_max)
     parts += [line(x0, y0, x1, y0), line(x0, y0, x0, y1)]
-    # ticks every 0.25 bits, the step doubled until at most 12 fit an axis;
-    # a tick reaches `left` px left of and `down` px below its axis point
+    # ticks every 0.25 bits, the step doubled until at most 12 fit an axis
+    # (halved until 2 fit one shorter than 0.25), labelled to 6 digits; a
+    # tick reaches `left` px left of and `down` px below its axis point
     for span, at, (left, down), (dx, dy, anchor) in (
         (x_max, lambda t: to_px(t, 0.0), (0, 5), (0, 18, "middle")),
         (y_max, lambda t: to_px(0.0, t), (5, 0), (-8, 4, "end")),
@@ -265,11 +266,13 @@ def region_svg(curves: list[tuple[str, np.ndarray, str]]) -> str:
         step = 0.25
         while span / step > 12:
             step *= 2
+        while span < min(0.25, 2 * step):
+            step /= 2
         t = step
         while t <= span + 1e-12:
             px, py = at(t)
             parts.append(line(px - left, py, px, py + down))
-            parts.append(text(px + dx, py + dy, 11, fmt(round(t, 6)), anchor))
+            parts.append(text(px + dx, py + dy, 11, format(t, ".6g"), anchor))
             t += step
     label = "user-{} rate (bits/channel use)"
     parts.append(text(width / 2, height - 15, 13, label.format(1), "middle"))

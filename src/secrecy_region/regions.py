@@ -120,9 +120,8 @@ def gamma1(ch: ChannelPair, spec: ChannelSpectrum, alpha):
     """
     a = _check_param(alpha, "alpha")
     p = ch.power
-    num = 1.0 + a * p * abs(np.vdot(ch.h, spec.e1)) ** 2
-    den = 1.0 + a * p * abs(np.vdot(ch.g, spec.e1)) ** 2
-    return num / den
+    hh, gg = spec.proj1
+    return (1.0 + a * p * hh) / (1.0 + a * p * gg)
 
 
 def gamma2(ch: ChannelPair, spec: ChannelSpectrum, alpha):
@@ -133,13 +132,16 @@ def gamma2(ch: ChannelPair, spec: ChannelSpectrum, alpha):
     Returns (gamma2, c2); c2 feeds the rank-one covariance construction.
     For an array of splits both come back batched: shapes (n,) and (n, t).
     """
-    a = _check_param(alpha, "alpha")
+    top = _gamma2_top(ch, spec, _check_param(alpha, "alpha"))
+    return top.lam, linalg.lift(ch.plane_gh, top.x0, top.x1)
+
+
+def _gamma2_top(ch: ChannelPair, spec: ChannelSpectrum, a) -> linalg.PlaneTop:
+    """`gamma2` on checked splits, c2 as its coefficients on `ch.plane_gh`."""
     p = ch.power
     rest = (1.0 - a) * p
-    s_g = rest / (1.0 + a * p * abs(np.vdot(ch.g, spec.e1)) ** 2)
-    s_h = rest / (1.0 + a * p * abs(np.vdot(ch.h, spec.e1)) ** 2)
-    res = linalg.plane_top(ch.plane_gh, s_g, s_h)
-    return (float(res.lam), res.vec) if type(a) is float else (res.lam, res.vec)
+    hh, gg = spec.proj1
+    return linalg.plane_coeffs(ch.plane_gh, rest / (1.0 + a * p * gg), rest / (1.0 + a * p * hh))
 
 
 def xi2(ch: ChannelPair, spec: ChannelSpectrum, beta):
@@ -193,7 +195,7 @@ def _corner_fn(ch: ChannelPair, spec: ChannelSpectrum) -> CornerFn:
         return np.minimum(np.where(positive, np.maximum(logs, 0.0), 0.0), cap)
 
     def corners(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ratio2, _ = gamma2(ch, spec, values)
+        ratio2 = _gamma2_top(ch, spec, values).lam
         return rates(gamma1(ch, spec, values), cap1), rates(ratio2, cap2)
 
     return corners

@@ -28,8 +28,8 @@ import numpy as np
 from . import geometry
 from .channel import ChannelPair, ChannelSpectrum, rate_scale, spectrum
 from .errors import DegeneratePivot, NumericsError, RhoOnUnitCircle
-from .regions import RegionBoundary, SweepConfig, capacity_region, gamma2, sweep_corners
-from .sdpc import _hermitian, _check_dense
+from .regions import RegionBoundary, SweepConfig, capacity_region, sweep_corners
+from .sdpc import _check, _hermitian, boundary_forms
 
 #: evaluations require |rho| <= 1 - RHO_EDGE (the 1-|rho|^2 denominator)
 RHO_EDGE = 1e-9
@@ -79,6 +79,7 @@ class AuditReport:
     occurs (|rho| = 1 when h is parallel to g). minimizer_spread is the
     largest distance of the user-1 (user-2) minimizers from rho* (its
     conjugate) where witness forms are nonzero, or None without rho*.
+    max_gap_f1 (f2) is the largest |gap| at rho* over the swept alphas.
     """
 
     containment_ok: bool
@@ -89,6 +90,8 @@ class AuditReport:
     tightness_skipped: str | None
     min_gap_f1: float
     min_gap_f2: float
+    max_gap_f1: float
+    max_gap_f2: float
     corner_gaps: dict[str, float]
     minimizer_spread: tuple[float, float] | None
     hull_size: int
@@ -102,6 +105,8 @@ class AuditReport:
             "containment_worst_at": where,
             "min_gap_f1": self.min_gap_f1,
             "min_gap_f2": self.min_gap_f2,
+            "max_gap_f1": self.max_gap_f1,
+            "max_gap_f2": self.max_gap_f2,
             "rho_star": (
                 [self.rho_star.real, self.rho_star.imag]
                 if self.rho_star is not None
@@ -125,8 +130,10 @@ def _check_rho(rho: complex, edge: float = RHO_EDGE) -> complex:
 
 
 def _check_kx(ch: ChannelPair, k_x: np.ndarray) -> np.ndarray:
+    """K_X finite, hermitized, then checked by one eigvalsh and its trace."""
     k = _hermitian(k_x)
-    _check_dense(ch, ("K_X",), (k,))
+    low = float(np.linalg.eigvalsh(k)[0])
+    _check(ch, ("K_X",), k.shape[0], (low,), (float(k.trace().real),))
     return k
 
 
@@ -150,20 +157,23 @@ def _bound_values(forms: tuple, rho: complex):
 def _f_raw(
     forms: tuple[float, float, complex], rho: complex
 ) -> tuple[float, complex]:
-    """One bound from its three quadratic forms, with its minimizer."""
-    _, other, cross = forms
-    return float(_bound_values(forms, rho)), (cross + rho) / (other + 1.0)
+    """`_bound_values` of one K on Python floats, with its minimizer."""
+    own, other, cross = forms
+    x = abs(cross + rho)
+    ratio = (own + 1.0 - x * x / (other + 1.0)) / (1.0 - abs(rho) ** 2)
+    return (math.log2(ratio) if ratio > 1.0 else 0.0), (cross + rho) / (other + 1.0)
 
 
-def _forms(ch: ChannelPair, k: np.ndarray) -> tuple[tuple, tuple]:
-    """The forms of a checked K for f1 and f2, from K h and K g; for h = g
-    the cross forms are the real self form, as in `linalg.quadratic_form`."""
-    kh, kg = k @ ch.h, k @ ch.g
-    hh = float(np.vdot(ch.h, kh).real)
-    gg = float(np.vdot(ch.g, kg).real)
-    if ch._h_is_g:
-        return (hh, gg, complex(hh)), (gg, hh, complex(gg))
-    return (hh, gg, complex(np.vdot(ch.g, kh))), (gg, hh, complex(np.vdot(ch.h, kg)))
+def _forms(ch: ChannelPair, k: np.ndarray, user: int | None = None) -> tuple:
+    """The forms (h^H K h, g^H K g, g^H K h) of a checked K for user 1's
+    bound, h and g exchanged for user 2's, both when user is None; for h = g
+    the cross form is the real self form, as in `linalg.quadratic_form`."""
+    if user is None:
+        return _forms(ch, k, 1), _forms(ch, k, 2)
+    u, v = (ch.h, ch.g) if user == 1 else (ch.g, ch.h)
+    ku = k @ u
+    own, other = float(np.vdot(u, ku).real), float(np.vdot(v, k @ v).real)
+    return own, other, complex(own) if ch._h_is_g else complex(np.vdot(v, ku))
 
 
 def sato_f1(
@@ -171,8 +181,7 @@ def sato_f1(
 ) -> tuple[float, complex]:
     """User 1's outer bound (scaled to reported-rate units) and nu*."""
     r = _check_rho(rho)
-    k = _check_kx(ch, k_x)
-    value, nu = _f_raw(_forms(ch, k)[0], r)
+    value, nu = _f_raw(_forms(ch, _check_kx(ch, k_x), 1), r)
     return rate_scale(ch) * value, nu
 
 
@@ -182,8 +191,7 @@ def sato_f2(
     """User 2's outer bound (scaled to reported-rate units) and mu*, with
     rho the coupling as user 2 sees it (conj(rho) of a shared coupling)."""
     r = _check_rho(rho)
-    k = _check_kx(ch, k_x)
-    value, mu = _f_raw(_forms(ch, k)[1], r)
+    value, mu = _f_raw(_forms(ch, _check_kx(ch, k_x), 2), r)
     return rate_scale(ch) * value, mu
 
 
@@ -253,20 +261,12 @@ def _rank_one_bounds(ch: ChannelPair, rho: complex) -> tuple[np.ndarray, np.ndar
 
 
 def _kx_forms(ch: ChannelPair, spec: ChannelSpectrum, alpha) -> tuple[tuple, tuple]:
-    """Quadratic forms of K_X(alpha) = K_U1 + K_U2 for both bounds.
-
-    Projections onto the rank-one factors, batched over an array of alpha:
-    v^H K w = aP (v^H e1)(e1^H w) + (1-a)P (v^H c2)(c2^H w).
-    """
+    """Quadratic forms of K_X(alpha) = K_U1 + K_U2 for both bounds, batched
+    over an array of alpha: `sdpc.boundary_forms`, with the cross form
+    g^H K h = aP (g^H e1)(e1^H h) + g^H K_U2 h."""
     a = np.asarray(alpha, dtype=float)
-    _, c2 = gamma2(ch, spec, a)
-    w1 = a * ch.power
-    w2 = (1.0 - a) * ch.power
-    e1h, e1g = np.vdot(spec.e1, ch.h), np.vdot(spec.e1, ch.g)
-    c2h, c2g = (c2.conj() * ch.h).sum(axis=1), (c2.conj() * ch.g).sum(axis=1)
-    hh = w1 * np.abs(e1h) ** 2 + w2 * np.abs(c2h) ** 2
-    gg = w1 * np.abs(e1g) ** 2 + w2 * np.abs(c2g) ** 2
-    gh = w1 * np.conj(e1g) * e1h + w2 * np.conj(c2g) * c2h
+    _, (_, hh, _, gg, gh2) = boundary_forms(ch, spec, a)
+    gh = (a * ch.power) * (np.vdot(ch.g, spec.e1) * np.vdot(spec.e1, ch.h)) + gh2
     return (hh, gg, gh), (gg, hh, np.conj(gh))
 
 
@@ -372,13 +372,13 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
         else None
     )
     corner_gaps: dict[str, float] = {}
-    min_gap_f1 = min_gap_f2 = 0.0
+    min_gap_f1 = min_gap_f2 = max_gap_f1 = max_gap_f2 = 0.0
     if skipped is None:
         rates = boundary.points / scale
         gaps1 = _bound_values(forms1, rho_star) - rates[:, 0]
         gaps2 = _bound_values(forms2, rho_star.conjugate()) - rates[:, 1]
-        min_gap_f1 = float(gaps1.min())
-        min_gap_f2 = float(gaps2.min())
+        min_gap_f1, min_gap_f2 = float(gaps1.min()), float(gaps2.min())
+        max_gap_f1, max_gap_f2 = float(abs(gaps1).max()), float(abs(gaps2).max())
         for i, tag in ((0, "alpha0"), (-1, "alpha1")):
             corner_gaps[f"{tag}_f1"] = float(gaps1[i])
             corner_gaps[f"{tag}_f2"] = float(gaps2[i])
@@ -398,6 +398,8 @@ def audit_inner_outer(ch: ChannelPair, sweep: SweepConfig | None = None) -> Audi
         tightness_skipped=skipped,
         min_gap_f1=min_gap_f1,
         min_gap_f2=min_gap_f2,
+        max_gap_f1=max_gap_f1,
+        max_gap_f2=max_gap_f2,
         corner_gaps=corner_gaps,
         minimizer_spread=spread,
         hull_size=len(boundary.hull),

@@ -40,3 +40,19 @@ def inflated_hull(monkeypatch):
         return dataclasses.replace(b, hull=1.1 * b.hull)
 
     monkeypatch.setattr(sato, "capacity_region", inflated)
+
+
+@pytest.fixture
+def lowered_corners(monkeypatch):
+    """Make the audit see every swept corner strictly inside the two
+    intercepts lowered by 1e-3 bits: the bounds at rho* then exceed those
+    rates there, while the hull and the two corner gaps stay as they are."""
+    sweep = sato.capacity_region
+
+    def lowered(*args, **kwargs):
+        b = sweep(*args, **kwargs)
+        points = b.points.copy()
+        points[1:-1] -= 1e-3
+        return dataclasses.replace(b, points=points)
+
+    monkeypatch.setattr(sato, "capacity_region", lowered)

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from secrecy_region import cli, sato
+from secrecy_region import cli, sato, sdpc
 
 import golden
 
@@ -213,6 +213,13 @@ class TestSdpc:
         assert "--grid" in parse_error(err)["message"]
         assert not csv_path.exists()
 
+    def test_grid_identity_gap_is_the_largest_scalar_gap(self, capsys, example_channel):
+        code, out, _ = run(capsys, "sdpc", *EXAMPLE_FLAGS, "--grid", "65")
+        assert code == 0
+        params = np.linspace(0.0, 1.0, 65).tolist()
+        want = max(sdpc.verify_identity_eq9(example_channel, a) for a in params)
+        assert json.loads(out)["max_identity_gap"] == float(f"{want:.12g}")
+
     def test_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sdpc.csv"
         code, _, _ = run(
@@ -349,6 +356,26 @@ class TestAudit:
         assert code == 5
         assert json.loads(out)["containment_ok"] is False
         assert parse_error(err)["code"] == "audit"
+
+    def test_tightness_keys_and_tolerances(self, capsys):
+        # the largest |gap| at rho* over every swept alpha, per user, and the
+        # minimizer spread sit at rounding level on the example
+        code, out, _ = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "65")
+        payload = json.loads(out)
+        assert code == 0
+        assert 0.0 <= payload["max_gap_f1"] <= 1e-12 and 0.0 <= payload["max_gap_f2"] <= 1e-12
+        assert payload["max_gap_f1"] >= abs(payload["min_gap_f1"])
+        assert max(payload["minimizer_spread"]) <= 1e-12
+
+    def test_gap_injection_exits_5_and_names_the_key(self, capsys, lowered_corners):
+        code, out, err = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "33")
+        payload = json.loads(out)
+        assert code == 5
+        assert payload["containment_ok"] is True
+        assert payload["max_gap_f1"] > sato.CORNER_TOL
+        error = parse_error(err)
+        assert error["code"] == "audit"
+        assert error["message"].startswith("max_gap_f1 = ")
 
     def test_violation_message_names_the_location(self, capsys, inflated_hull):
         code, out, err = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "33")

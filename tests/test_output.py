@@ -258,6 +258,24 @@ class TestSvg:
         titles = [el.text for el in root.iter(ns + "text") if el.get("font-size") == "13"]
         assert titles == [f"user-{k} rate (bits/channel use)" for k in (1, 2)]
 
+    def test_narrow_region_keeps_distinct_ticks(self, tmp_path, capsys):
+        # at P = 1e-6 the example's region is under 2e-6 bits wide: the tick
+        # step halves from 0.25 until two ticks fit, and labels keep 6 digits
+        svg_path = tmp_path / "fig2.svg"
+        code = cli.main([
+            "reproduce-fig2", "--power", "1e-6", "--out-csv", str(tmp_path / "fig2.csv"),
+            "--out-svg", str(svg_path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        root = ET.fromstring(svg_path.read_text())
+        texts = root.iter("{http://www.w3.org/2000/svg}text")
+        labels = [el for el in texts if el.get("font-size") == "11"]
+        for anchor in ("middle", "end"):
+            values = [float(el.text) for el in labels if el.get("text-anchor") == anchor]
+            assert len(values) >= 2
+            assert all(0.0 < a < b for a, b in zip(values, values[1:]))
+
     def test_single_point_curve(self):
         svg = output.region_svg([("point", [(0.0, 0.0)], "solid")])
         assert "<circle" in svg

@@ -12,11 +12,16 @@ from secrecy_region import (
     capacity_region,
     gamma1,
     gamma2,
+    linalg,
     optimal_covariances,
     rate_scale,
     region_contains,
+    sato,
+    sato_f1,
+    sato_f2,
     sdpc_rates,
     spectrum,
+    tightness_rho,
     verify_identity_eq9,
 )
 from secrecy_region.regions import RatePair
@@ -218,3 +223,111 @@ class TestAchievability:
             k2 = _oracles.random_psd(rng, 2, (1 - split) * 10.0 * rng.uniform())
             corner = sdpc_rates(example_channel, CovariancePair(k1, k2))
             assert region_contains(hull, corner, tol=1e-6)
+
+
+def _forms_channels():
+    """Seeded complex channels (t = 2, 3, 8), with parallel pairs (s = 0; for
+    g = 0.5j h, c2 is the fallback vector orthogonal to the plane) and h = g."""
+    out = []
+    for t in (2, 3, 8):
+        h, g, _ = _oracles.random_channel(np.random.default_rng(900 + t), t, 1.0, "complex")
+        out += [(h, g), (g, 2.0 * g), (h, 0.5j * h), (h, h)]
+    return out
+
+
+class TestBoundaryForms:
+    """The optimal pair's forms from c2's plane coefficients against
+    projections of the lifted vectors."""
+
+    #: largest measured deviation over these cases: 4.5 ulps of P |x| |y|
+    ULPS = 8
+
+    @pytest.mark.parametrize("power", [0.0, 1e-12, 10.0, 1e12])
+    def test_forms_match_lifted_projections(self, power):
+        eps = np.finfo(float).eps
+        alphas = np.array([0.0, 0.3, 1.0])
+        for h, g in _forms_channels():
+            ch = make(h, g, power)
+            spec = spectrum(ch)
+            nh, ng = np.linalg.norm(h), np.linalg.norm(g)
+            kx = sato._kx_forms(ch, spec, alphas)[0]
+            for i, a in enumerate(alphas.tolist()):
+                cov = optimal_covariances(ch, a, spec)
+                c2 = gamma2(ch, spec, a)[1]
+                # the pair's own forms against its factors' projections
+                for own, x, size in zip(cov._own[1:], (ch.h, ch.g), (nh * nh, ng * ng)):
+                    for u, v in zip(own, cov.forms(x)):
+                        assert abs(u - v) <= self.ULPS * eps * power * size
+                w1, w2 = a * power, (1.0 - a) * power
+                proj = [(np.vdot(v, h), np.vdot(v, g)) for v in (spec.e1, c2)]
+                want = (
+                    w1 * abs(proj[0][0]) ** 2 + w2 * abs(proj[1][0]) ** 2,
+                    w1 * abs(proj[0][1]) ** 2 + w2 * abs(proj[1][1]) ** 2,
+                    w1 * np.conj(proj[0][1]) * proj[0][0] + w2 * np.conj(proj[1][1]) * proj[1][0],
+                )
+                for form, ref, size in zip(kx, want, (nh * nh, ng * ng, nh * ng)):
+                    assert abs(form[i] - ref) <= self.ULPS * eps * power * size
+
+    def test_fallback_c2_has_zero_forms(self):
+        # h = 2g: user 2's residual pencil tops out at the orthocomplement's 1
+        h, _, _ = _oracles.random_channel(np.random.default_rng(7), 3, 1.0, "complex")
+        ch = make(2.0 * h, h)
+        spec = spectrum(ch)
+        cov = optimal_covariances(ch, 0.3, spec)
+        (_, ht), (_, gt) = cov._own[1:]
+        assert ht == cov._own[1][0] and gt == cov._own[2][0]
+        c2 = cov._factors[1][1]
+        assert abs(np.linalg.norm(c2) - 1.0) <= 1e-15
+        assert abs(np.vdot(c2, ch.h)) <= 1e-15 * np.linalg.norm(ch.h)
+
+    def test_pair_on_another_channel_projects_its_factors(self):
+        h, g, _ = _oracles.random_channel(np.random.default_rng(11), 4, 10.0, "complex")
+        ch, twin = make(h, g), make(h, g)
+        cov = optimal_covariances(ch, 0.4)
+        own, projected = rate_bounds_raw(ch, cov), rate_bounds_raw(twin, cov)
+        assert own != projected  # a different route, at rounding level
+        np.testing.assert_allclose(own, projected, rtol=1e-14)
+
+    @pytest.mark.parametrize("dim", [None, 2, 3, 8])
+    def test_batched_identity_gaps_match_scalar_bitwise(self, example_channel, dim):
+        ch = example_channel
+        if dim is not None:
+            rng = np.random.default_rng(910 + dim)
+            ch = make(*_oracles.random_channel(rng, dim, 10.0, "complex")[:2])
+        spec = spectrum(ch)
+        alphas = np.concatenate([np.linspace(0.0, 1.0, 65), [1e-9, 0.123456789]])
+        batch = verify_identity_eq9(ch, alphas, spec)
+        assert batch.shape == alphas.shape
+        for a, gap in zip(alphas.tolist(), batch):
+            assert np.float64(verify_identity_eq9(ch, a, spec)).tobytes() == gap.tobytes()
+
+    def test_point_api_lifts_only_at_the_edge(self, monkeypatch):
+        lifts, solves = [], []
+        lift, eigvalsh = linalg.lift, np.linalg.eigvalsh
+
+        def counted_lift(*args):
+            lifts.append(1)
+            return lift(*args)
+
+        def counted_eigvalsh(*args, **kwargs):
+            solves.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        ch = make(*_oracles.random_channel(np.random.default_rng(12), 4, 10.0, "complex")[:2])
+        spec = spectrum(ch)  # e1 and e2 leave the package: lifted here
+        rho = tightness_rho(spec, ch.h, ch.g)
+        monkeypatch.setattr(linalg, "lift", counted_lift)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        verify_identity_eq9(ch, 0.3, spec)
+        verify_identity_eq9(ch, np.linspace(0.0, 1.0, 9), spec)
+        capacity_region(ch)
+        assert lifts == []
+        cov = optimal_covariances(ch, 0.3, spec)
+        assert len(lifts) == 1
+        sdpc_rates(ch, cov)
+        assert len(lifts) == 1 and solves == []
+        k = cov.total
+        for fn in (sato_f1, sato_f2, sato_f1):
+            fn(ch, rho, k)
+            assert len(solves) == 1
+            solves.clear()
