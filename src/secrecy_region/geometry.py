@@ -277,9 +277,9 @@ def min_distances(points, poly) -> np.ndarray:
     return out
 
 
-def resample_polyline(poly, samples: int, include_vertices: bool = True) -> np.ndarray:
-    """`samples` points uniform in arc length, after the vertices (by
-    default) or the two end points."""
+def resample_polyline(poly, samples: int) -> np.ndarray:
+    """The vertices, then the points that cut the arc length into
+    `samples` equal parts."""
     pts = _xy(poly)
     if len(pts) < 2:
         return pts
@@ -294,15 +294,14 @@ def resample_polyline(poly, samples: int, include_vertices: bool = True) -> np.n
     i = np.minimum(np.searchsorted(acc, target, side="right") - 1, len(seg) - 1)
     live = seg[i] > 0.0
     w = np.where(live, (target - acc[i]) / np.where(live, seg[i], 1.0), 0.0)
-    head = pts if include_vertices else pts[[0, -1]]
-    return np.vstack([head, pts[i] + w[:, None] * d[i]])
+    return np.vstack([pts, pts[i] + w[:, None] * d[i]])
 
 
 def hausdorff_distance(poly_a, poly_b, samples: int = 2048) -> float:
     """Symmetric Hausdorff distance between two polylines.
 
-    Each polyline is resampled to `samples` points uniform in arc length
-    (vertices always included) and measured against the other exactly.
+    Each polyline's vertices and the points that cut its arc length
+    into `samples` equal parts are measured against the other exactly.
     """
     pa = resample_polyline(poly_a, samples)
     pb = resample_polyline(poly_b, samples)

@@ -58,7 +58,7 @@ RANK_ONE_PHASES = 64
 OUTER_SWEEP = SweepConfig(grid_points=129, sagitta_tol=1e-5, segment_tol=2.5e-3)
 
 #: audit tolerances (raw log2 units) on the worst witness margin and on
-#: the asserted corner gaps
+#: the asserted tightness gaps
 CONTAINMENT_TOL = 1e-6
 CORNER_TOL = 1e-6
 

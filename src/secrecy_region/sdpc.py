@@ -71,7 +71,7 @@ class CovariancePair:
         # reached only for what __dict__ lacks: a factored pair's dense
         # matrices before their first access, and any pair's total
         if name == "total":
-            k = self.k_u1 + self.k_u2 if self._factors is None else self._dense(0) + self._dense(1)
+            k = self.k_u1 + self.k_u2
         elif name in ("k_u1", "k_u2") and self._factors is not None:
             k = self._dense(("k_u1", "k_u2").index(name))
         else:

@@ -56,3 +56,18 @@ def lowered_corners(monkeypatch):
         return dataclasses.replace(b, points=points)
 
     monkeypatch.setattr(sato, "capacity_region", lowered)
+
+
+@pytest.fixture
+def lowered_end_corner(monkeypatch):
+    """Make the audit see the alpha = 1 corner's r1 lowered by 1e-3 bits:
+    its corner gap opens while the r1 intercept keeps the hull as it is."""
+    sweep = sato.capacity_region
+
+    def lowered(*args, **kwargs):
+        b = sweep(*args, **kwargs)
+        points = b.points.copy()
+        points[-1, 0] -= 1e-3
+        return dataclasses.replace(b, points=points)
+
+    monkeypatch.setattr(sato, "capacity_region", lowered)

@@ -377,6 +377,16 @@ class TestAudit:
         assert error["code"] == "audit"
         assert error["message"].startswith("max_gap_f1 = ")
 
+    def test_corner_gap_injection_fails_as_the_max_gap(self, capsys, lowered_end_corner):
+        # the max gap covers the corner gap, so the failure names max_gap_f1
+        code, out, err = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "33")
+        payload = json.loads(out)
+        assert code == 5
+        assert payload["containment_ok"] is True
+        assert payload["corner_gaps"]["alpha1_f1"] > sato.CORNER_TOL
+        assert payload["max_gap_f1"] == abs(payload["corner_gaps"]["alpha1_f1"])
+        assert parse_error(err)["message"].startswith("max_gap_f1 = ")
+
     def test_violation_message_names_the_location(self, capsys, inflated_hull):
         code, out, err = run(capsys, "audit", *EXAMPLE_FLAGS, "--grid", "33")
         where = json.loads(out)["containment_worst_at"]

@@ -216,7 +216,7 @@ def loop_concave_chain(points):
     return chain
 
 
-def loop_resample_polyline(poly, samples, include_vertices=True):
+def loop_resample_polyline(poly, samples):
     pts = [(float(p[0]), float(p[1])) for p in poly]
     if len(pts) < 2:
         return pts
@@ -228,7 +228,7 @@ def loop_resample_polyline(poly, samples, include_vertices=True):
         acc.append(acc[-1] + s)
     if total == 0.0:
         return [pts[0]]
-    out = list(pts) if include_vertices else [pts[0], pts[-1]]
+    out = list(pts)
     for k in range(1, samples):
         target = total * k / samples
         i = min(bisect.bisect_right(acc, target) - 1, len(seg) - 1)
@@ -300,16 +300,15 @@ def test_concave_chain_matches_loop(seed, noise):
         np.testing.assert_array_equal(geometry.concave_chain(pts), want)
 
 
-@pytest.mark.parametrize("include_vertices", [True, False])
 @pytest.mark.parametrize("seed", range(3))
-def test_resample_polyline_matches_loop(seed, include_vertices):
+def test_resample_polyline_matches_loop(seed):
     rng = np.random.default_rng(seed)
     chain = geometry.concave_chain(geometry.pareto_corners(rng.random((400, 2))))
     repeated = np.vstack([chain[:5], chain[4:5], chain[4:]])
     for poly in (chain, repeated, chain[:2], chain[:1], np.repeat(chain[:1], 3, axis=0)):
         for samples in (1, 2, 513):
-            want = np.array(loop_resample_polyline(poly.tolist(), samples, include_vertices))
-            got = geometry.resample_polyline(poly, samples, include_vertices)
+            want = np.array(loop_resample_polyline(poly.tolist(), samples))
+            got = geometry.resample_polyline(poly, samples)
             np.testing.assert_array_equal(got, want.reshape(-1, 2))
 
 

@@ -50,6 +50,35 @@ def segment_distance(p, a, b):
     return math.hypot(p[0] - (a[0] + t * vx), p[1] - (a[1] + t * vy))
 
 
+def pareto_oracle(points):
+    """Strictly non-dominated rows of (n, 2) points, x increasing: one
+    scan by decreasing x keeps each row above every row kept before it."""
+    kept, best = [], -math.inf
+    for x, y in sorted(map(tuple, points.tolist()), key=lambda p: (-p[0], -p[1])):
+        if y > best:
+            kept.append((x, y))
+            best = y
+    return np.array(kept[::-1])
+
+
+def sampled_hull_distance(hull, poly, samples=512):
+    """Largest distance from `samples` points uniform in the arc length of
+    `hull` to the polyline `poly`, each against every segment."""
+    if len(hull) < 2:
+        return 0.0
+    acc = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(hull, axis=0).T))])
+    at = np.linspace(0.0, acc[-1], samples)
+    pts = np.column_stack([np.interp(at, acc, hull[:, 0]), np.interp(at, acc, hull[:, 1])])
+    a, d = poly[:-1], np.diff(poly, axis=0)
+    ll = (d * d).sum(axis=1)
+    worst = 0.0
+    for p in pts:
+        r = p - a
+        t = np.clip((r * d).sum(axis=1) / np.where(ll > 0.0, ll, 1.0), 0.0, 1.0)
+        worst = max(worst, float(np.hypot(*(r - t[:, None] * d).T).min()))
+    return worst
+
+
 class TestGamma1:
     def test_zero_alpha(self, example_channel):
         spec = spectrum(example_channel)
@@ -352,9 +381,52 @@ class TestCapacityRegion:
         assert points.tolist() == [list(ref[v]) for v in sorted(ref)]
         assert np.hypot(*np.diff(points, axis=0).T).max() <= 0.05
 
+    @pytest.mark.parametrize(
+        "name, value, error",
+        [
+            *(
+                (tol, value, ValueError)
+                for tol in ("sagitta_tol", "segment_tol")
+                for value in (math.nan, 0.0, -1e-7)
+            ),
+            ("grid_points", 1, ValueError),
+            ("grid_points", math.nan, TypeError),
+            ("grid_points", 64.0, TypeError),
+        ],
+    )
+    def test_sweep_config_rejects_bad_fields(self, name, value, error):
+        with pytest.raises(error):
+            SweepConfig(**{name: value})
+
     def test_hull_union_gap_small_for_example(self, example_channel):
         b = capacity_region(example_channel, LIGHT)
         assert b.hull_union_gap <= 1e-6
+
+    @pytest.mark.parametrize(
+        "dim, power", [(None, 1e-6), (None, 10.0), (None, 1e12), (2, 10.0), (3, 10.0), (8, 10.0)]
+    )
+    def test_hull_union_gap_bounds_the_sampled_distance(self, example_channel, dim, power):
+        if dim is None:
+            ch = dataclasses.replace(example_channel, power=power)
+        else:
+            rng = np.random.default_rng(40 + dim)
+            ch = make(*_oracles.random_channel(rng, dim, power, "complex"))
+        b = capacity_region(ch)
+        ends = [[b.r1_max, 0.0], [0.0, b.r2_max]]
+        pareto = pareto_oracle(np.vstack([b.points, ends]))
+        ulp = np.spacing(max(b.r1_max, b.r2_max))
+        assert b.hull_union_gap >= sampled_hull_distance(b.hull, pareto) - 8 * ulp
+        if len(b.hull) == len(pareto):
+            assert b.hull_union_gap == 0.0
+
+    def test_hull_union_gap_of_a_notch(self):
+        # the middle corner sits 0.1 below the chord, both vertically and
+        # horizontally; the hull bridges it
+        b = regions._build_boundary(np.array([0.5]), np.array([[0.5, 0.4]]), 1.0, 1.0, "alpha")
+        assert b.hull.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert abs(b.hull_union_gap - 0.1) <= 2 * np.spacing(0.1)
+        pareto = np.array([[0.0, 1.0], [0.5, 0.4], [1.0, 0.0]])
+        assert b.hull_union_gap >= sampled_hull_distance(b.hull, pareto)
 
 
 class TestBetaParametrization:

@@ -153,6 +153,17 @@ class TestOptimalCovariances:
             with pytest.raises(ValueError):
                 k[0, 0] = 1.0  # read-only: the factors could not follow
 
+    def test_total_builds_each_outer_product_once(self, example_channel, monkeypatch):
+        calls = []
+        dense = CovariancePair._dense
+        monkeypatch.setattr(
+            CovariancePair, "_dense", lambda self, i: calls.append(i) or dense(self, i)
+        )
+        cov = optimal_covariances(example_channel, 0.3)
+        total, k_u1, k_u2 = cov.total, cov.k_u1, cov.k_u2
+        assert sorted(calls) == [0, 1]
+        assert total.tobytes() == (k_u1 + k_u2).tobytes()
+
     def test_compares_by_identity_and_is_read_only(self, example_channel):
         a = optimal_covariances(example_channel, 0.3)
         b = optimal_covariances(example_channel, 0.3)
