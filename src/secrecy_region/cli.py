@@ -289,8 +289,9 @@ def cmd_region(args) -> int:
     payload = _boundary_payload(boundary)
     if args.beta_check:
         dual_frontier = capacity_region_beta(ch, cfg).frontier()
-        beta_dists = geometry.min_distances(boundary.points, dual_frontier)
-        beta_hd = geometry.hausdorff_distance(boundary.frontier(), dual_frontier)
+        v, h = geometry.chain_drops(boundary.points, dual_frontier)
+        beta_dists = np.minimum(np.abs(v), np.abs(h))
+        beta_hd = max(geometry.chain_gap(boundary.frontier(), dual_frontier))
         payload["beta_check"] = {
             "hausdorff_bits": beta_hd,
             "max_corner_dist_bits": float(beta_dists.max(initial=0.0)),

@@ -176,14 +176,15 @@ def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 
     All three are (n, 2) arrays; row i pairs points[i] with segment i.
     """
-    return np.sqrt(_segment_d2(points[:, 0], points[:, 1], *_segments(a, b)))
-
-
-#: window padding, relative to the coordinate scale, that covers the
-#: rounding of the per-pair distance (a few ulps of that scale)
-WINDOW_PAD = 2.0**-30
-#: coordinate scale below which no per-pair product can overflow
-WINDOW_SCALE_MAX = 1e150
+    ax, ay = a[:, 0], a[:, 1]
+    vx, vy = b[:, 0] - ax, b[:, 1] - ay
+    ll = vx * vx + vy * vy
+    dx = points[:, 0] - ax
+    dy = points[:, 1] - ay
+    t = np.clip((dx * vx + dy * vy) / np.where(ll > 0.0, ll, 1.0), 0.0, 1.0)
+    ex = dx - t * vx
+    ey = dy - t * vy
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def _xy(seq) -> np.ndarray:
@@ -192,121 +193,51 @@ def _xy(seq) -> np.ndarray:
     return a.reshape(len(a), -1)[:, :2] if len(a) else np.zeros((0, 2))
 
 
-def _segments(a: np.ndarray, b: np.ndarray):
-    """(ax, ay, vx, vy, ll) of the segments a -> b, for `_segment_d2`."""
-    ax, ay = a[:, 0], a[:, 1]
-    vx, vy = b[:, 0] - ax, b[:, 1] - ay
-    ll = vx * vx + vy * vy
-    return ax, ay, vx, vy, np.where(ll > 0.0, ll, 1.0)
+def chain_drops(points: np.ndarray, chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed vertical and horizontal drop of each point below a frontier
+    chain: how far the chain lies above it, and how far to its right.
 
-
-def _segment_d2(px, py, ax, ay, vx, vy, ll):
-    """Squared distance from (px, py) to the segments a + t v, t in [0, 1].
-
-    Broadcasts; `ll` is |v|^2 with zero-length segments mapped to 1.
+    Past its ends np.interp continues the chain level to the left and
+    straight down to the right, so either move reaches the boundary of the
+    chain's down-closed region.
     """
-    dx = px - ax
-    dy = py - ay
-    t = np.clip((dx * vx + dy * vy) / ll, 0.0, 1.0)
-    ex = dx - t * vx
-    ey = dy - t * vy
-    return ex * ex + ey * ey
+    (x, y), (px, py) = chain[:, :2].T, points[:, :2].T
+    return np.interp(px, x, y) - py, np.interp(-py, -y, x) - px
 
 
-def min_distances(points, poly) -> np.ndarray:
-    """Distance from each point to a polyline, exact for any input.
+def chain_gap(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Upper bounds on the directed distances a -> b and b -> a between
+    frontier chains that share their intercepts.
 
-    Each point is measured against a window [lo, hi] of segments. When
-    the vertex x is non-decreasing (every frontier and staircase here),
-    a segment nearer than the bracketing segments must overlap
-    [px - d0, px + d0] in x, where d0 is the padded distance to the
-    segments around the point's x; in an x-sorted chain those form one
-    index range. Other polylines, and points whose padding overflows, use
-    the whole chain [0, M - 1]. One pass over the offset k measures
-    segment lo + k for every point whose window reaches that far, with
-    the points sorted by window width so those form a prefix. The windows
-    hold every segment that can attain the minimum, so the result equals
-    the all-segments minimum bitwise.
+    From a point on an edge, the vertical and the horizontal move to the
+    other chain have piecewise linear lengths, with kinks only at the knots
+    of either chain that the edge spans: in x for the vertical move, in -y
+    for the horizontal one. So the lesser of the two largest knot drops
+    over an edge bounds the distance from each of its points. Chains with
+    the same vertices give exactly 0.
     """
-    pts, line = _xy(points), _xy(poly)
-    if pts.size == 0:
-        return np.zeros(0)
-    if line.shape[0] == 0:
-        return np.full(pts.shape[0], np.inf)
-    if line.shape[0] == 1:
-        return np.hypot(pts[:, 0] - line[0, 0], pts[:, 1] - line[0, 1])
-    px, py = pts[:, 0], pts[:, 1]
-    xs = line[:, 0]
-    ax, ay, vx, vy, ll = _segments(line[:-1], line[1:])
-    n, m = pts.shape[0], ax.shape[0]
-    lo = np.zeros(n, dtype=np.intp)
-    width = np.full(n, m, dtype=np.intp)
-
-    scale = float(np.abs(line).max())
-    if scale < WINDOW_SCALE_MAX and bool(np.all(xs[1:] >= xs[:-1])):
-        j = np.searchsorted(xs, px)
-        near = np.clip(np.stack([j - 1, j], axis=1), 0, m - 1)
-        d2 = _segment_d2(
-            px[:, None], py[:, None], ax[near], ay[near], vx[near], vy[near], ll[near]
-        )
-        pt_scale = np.abs(px) + np.abs(py) + scale
-        # the 2**-500 floor keeps the padding clear of subnormal rounding
-        reach = (
-            np.sqrt(d2.min(axis=1)) * (1.0 + WINDOW_PAD)
-            + WINDOW_PAD * pt_scale
-            + 2.0**-500
-        )
-        # segment i spans [xs[i], xs[i + 1]] in x
-        w_lo = np.maximum(np.searchsorted(xs, px - reach, side="left") - 1, 0)
-        w_hi = np.minimum(np.searchsorted(xs, px + reach, side="right") - 1, m - 1)
-        ok = np.isfinite(reach) & (pt_scale < WINDOW_SCALE_MAX) & (w_hi >= w_lo)
-        lo[ok], width[ok] = w_lo[ok], (w_hi - w_lo + 1)[ok]
-
-    # widest window first: at offset k the points still measured are the
-    # first live[k], whose windows hold more than k segments
-    order = np.argsort(-width)
-    lo, px, py, width = lo[order], px[order], py[order], width[order]
-    live = np.searchsorted(-width, -np.arange(width[0]), side="left")
-    best = np.full(n, np.inf)
-    for k, c in enumerate(live.tolist()):
-        s = lo[:c] + k
-        d2 = _segment_d2(px[:c], py[:c], ax[s], ay[s], vx[s], vy[s], ll[s])
-        np.minimum(best[:c], d2, out=best[:c])
-    out = np.empty(n)
-    out[order] = np.sqrt(best)
-    return out
+    (va, ha), (vb, hb) = chain_drops(a, b), chain_drops(b, a)
+    v, sva, svb = _merge(np.abs(va), np.abs(vb), a[:, 0], b[:, 0])
+    h, sha, shb = _merge(np.abs(ha), np.abs(hb), -a[:, 1], -b[:, 1])
+    return tuple(  # per edge, the lesser of its largest |drop| in v and in h
+        float(np.minimum(_span_max(v, sv), _span_max(h, sh)).max())
+        for sv, sh in ((sva, sha), (svb, shb))
+    )
 
 
-def resample_polyline(poly, samples: int) -> np.ndarray:
-    """The vertices, then the points that cut the arc length into
-    `samples` equal parts."""
-    pts = _xy(poly)
-    if len(pts) < 2:
-        return pts
-    d = np.diff(pts, axis=0)
-    # math.hypot: np.hypot calls the C library's, which may round otherwise
-    seg = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float)
-    acc = np.concatenate([[0.0], np.cumsum(seg)])
-    total = acc[-1]
-    if total == 0.0:
-        return pts[:1]
-    target = total * np.arange(1, samples) / samples
-    i = np.minimum(np.searchsorted(acc, target, side="right") - 1, len(seg) - 1)
-    live = seg[i] > 0.0
-    w = np.where(live, (target - acc[i]) / np.where(live, seg[i], 1.0), 0.0)
-    return np.vstack([pts, pts[i] + w[:, None] * d[i]])
+def _merge(da, db, ka, kb):
+    """The values da at the increasing knots ka and db at kb in one array,
+    in merged knot order (ka first at ties), and the slots of ka and kb."""
+    sa = np.arange(len(ka)) + np.searchsorted(kb, ka, side="left")
+    sb = np.arange(len(kb)) + np.searchsorted(ka, kb, side="right")
+    merged = np.empty(len(ka) + len(kb))
+    merged[sa], merged[sb] = da, db
+    return merged, sa, sb
 
 
-def hausdorff_distance(poly_a, poly_b, samples: int = 2048) -> float:
-    """Symmetric Hausdorff distance between two polylines.
-
-    Each polyline's vertices and the points that cut its arc length
-    into `samples` equal parts are measured against the other exactly.
-    """
-    pa = resample_polyline(poly_a, samples)
-    pb = resample_polyline(poly_b, samples)
-    if len(pa) == 0 or len(pb) == 0:
-        return math.inf
-    d_ab = float(min_distances(pa, poly_b).max())
-    d_ba = float(min_distances(pb, poly_a).max())
-    return max(d_ab, d_ba)
+def _span_max(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The largest d[s[i]] .. d[s[i + 1]] for each edge i of a chain at the
+    slots s; a one-vertex chain is its vertex."""
+    if len(s) == 1:
+        return d[s]
+    return np.maximum(np.maximum.reduceat(d, s)[:-1], d[s[1:]])

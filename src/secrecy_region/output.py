@@ -180,9 +180,10 @@ def boundary_csv(
 ) -> str:
     """Swept rows, then a `# hull` sentinel section with the frontier.
 
-    With a cross-parametrization check, each swept row gains the distance
-    of its corner to the dual-sweep hull and a trailing comment carries
-    the symmetric Hausdorff deviation.
+    With a cross-parametrization check, each swept row gains an upper
+    bound on the distance of its corner to the dual-sweep hull, and a
+    trailing comment carries an upper bound on the Hausdorff distance
+    between the two hulls.
     """
     header = ",".join(points.keys)
     tables = [points]

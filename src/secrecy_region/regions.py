@@ -262,9 +262,7 @@ def _hull_union_gap(frontier: np.ndarray, curve: np.ndarray) -> float:
     deepest horizontal drop from the hull to a corner. Both drops are
     piecewise linear, peaking at corners, and np.interp is exact at its
     knots, so the bound is 0 when the hull keeps every corner."""
-    (x, y), (cx, cy) = frontier.T, curve[:, :2].T
-    v = np.interp(cx, x, y) - cy
-    h = np.interp(-cy, -y, x) - cx
+    v, h = geometry.chain_drops(curve, frontier)
     return float(min(v.max(), h.max()))
 
 

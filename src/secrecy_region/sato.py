@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,39 +85,26 @@ class AuditReport:
     containment_ok: bool
     containment_worst: float
     containment_worst_at: tuple[complex, float, int]
-    rho_star: complex | None
-    tightness_evaluated: bool
-    tightness_skipped: str | None
     min_gap_f1: float
     min_gap_f2: float
     max_gap_f1: float
     max_gap_f2: float
+    rho_star: complex | None
+    tightness_evaluated: bool
+    tightness_skipped: str | None
     corner_gaps: dict[str, float]
     minimizer_spread: tuple[float, float] | None
     hull_size: int
 
     def to_dict(self) -> dict:
+        """The fields in order, with the couplings as [re, im] pairs."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         rho, alpha, user = self.containment_worst_at
-        where = {"rho": [rho.real, rho.imag], "alpha": alpha, "user": user}
-        return {
-            "containment_ok": self.containment_ok,
-            "containment_worst": self.containment_worst,
-            "containment_worst_at": where,
-            "min_gap_f1": self.min_gap_f1,
-            "min_gap_f2": self.min_gap_f2,
-            "max_gap_f1": self.max_gap_f1,
-            "max_gap_f2": self.max_gap_f2,
-            "rho_star": (
-                [self.rho_star.real, self.rho_star.imag]
-                if self.rho_star is not None
-                else None
-            ),
-            "tightness_evaluated": self.tightness_evaluated,
-            "tightness_skipped": self.tightness_skipped,
-            "corner_gaps": dict(self.corner_gaps),
-            "minimizer_spread": self.minimizer_spread,
-            "hull_size": self.hull_size,
-        }
+        out["containment_worst_at"] = {"rho": [rho.real, rho.imag], "alpha": alpha, "user": user}
+        if self.rho_star is not None:
+            out["rho_star"] = [self.rho_star.real, self.rho_star.imag]
+        out["corner_gaps"] = dict(self.corner_gaps)
+        return out
 
 
 def _check_rho(rho: complex, edge: float = RHO_EDGE) -> complex:

@@ -3,8 +3,9 @@
 These deliberately avoid the production code paths: the generalized
 eigenvalue oracle restricts the pencil to span{v, w} and solves the 2x2
 characteristic quadratic directly (no Cholesky reduction, no Jacobi), the
-quadratic-form oracle expands scalar products explicitly, and the
-minimizer oracle is a dense grid search.
+quadratic-form oracle expands scalar products explicitly, the
+minimizer oracle is a dense grid search, and the polyline distance
+measures each point against every segment that can be nearest to it.
 """
 from __future__ import annotations
 
@@ -206,3 +207,59 @@ def sato_coupling_grid_min(
             center, value = complex(box[best]), float(vals[best])
         width *= 3.0 / (points - 1)
     return float(np.log2(value)), center
+
+
+def polyline_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Distance from each of the (n, 2) points to a frontier or staircase
+    polyline (x never decreasing, y never increasing): the least over its
+    segments of the distance to their nearest point.
+
+    The distance r to one of the two vertices nearest in x bounds the
+    answer, and a segment whose x- or y-range stays farther than r from the
+    point cannot come nearer. So each point is measured against every
+    segment within r of it in both coordinates, in chunks of points.
+    """
+    x, y = poly[:, 0], poly[:, 1]
+    if np.any(x[1:] < x[:-1]) or np.any(y[1:] > y[:-1]):
+        raise ValueError("polyline must be monotone: x rising, y falling")
+    line = poly if len(poly) > 1 else np.vstack([poly, poly])
+    ax, ay = line[:-1, 0], line[:-1, 1]
+    vx, vy = line[1:, 0] - ax, line[1:, 1] - ay
+    ll = vx * vx + vy * vy
+    ll[ll == 0.0] = 1.0
+    px, py = points[:, 0], points[:, 1]
+    k = np.minimum(np.searchsorted(x, px), len(x) - 1)
+    # the padding covers the rounding of r below |px - x[k]| and |py - y[k]|
+    r = np.hypot(px - x[k], py - y[k]) * (1.0 + 1e-9)
+    # segment i spans x[i] to x[i + 1] and -y[i] to -y[i + 1]; both windows
+    # hold a segment ending at vertex k
+    lo, hi = 0, len(ax) - 1
+    for q, pq in ((x, px), (-y, -py)):
+        lo = np.maximum(lo, np.searchsorted(q, pq - r, side="left") - 1)
+        hi = np.minimum(hi, np.searchsorted(q, pq + r, side="right") - 1)
+    out = np.empty(len(points))
+    for c in range(0, len(points), 256):
+        w = hi[c : c + 256] - lo[c : c + 256] + 1
+        first = np.cumsum(w) - w
+        i = np.repeat(np.arange(c, c + len(w)), w)
+        s = np.arange(w.sum()) - np.repeat(first - lo[c : c + 256], w)
+        dx, dy = px[i] - ax[s], py[i] - ay[s]
+        t = np.clip((dx * vx[s] + dy * vy[s]) / ll[s], 0.0, 1.0)
+        out[c : c + 256] = np.minimum.reduceat(np.hypot(dx - t * vx[s], dy - t * vy[s]), first)
+    return out
+
+
+def sampled_distance(a: np.ndarray, b: np.ndarray, samples: int) -> float:
+    """Largest distance from the (n, 2) polyline a, taken at its vertices and
+    at `samples` points spread evenly over its arc length, to polyline b."""
+    d = np.diff(a, axis=0)
+    acc = np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
+    at = np.linspace(0.0, acc[-1], samples)
+    points = np.vstack([a, np.column_stack([np.interp(at, acc, c) for c in a.T])])
+    return float(polyline_distance(points, b).max())
+
+
+def sampled_hausdorff(a: np.ndarray, b: np.ndarray, samples: int) -> float:
+    """Symmetric Hausdorff distance between two (n, 2) polylines, each
+    sampled as in `sampled_distance`."""
+    return max(sampled_distance(a, b, samples), sampled_distance(b, a, samples))

@@ -29,7 +29,6 @@ from secrecy_region import (
     xi1,
     xi2,
 )
-from secrecy_region import geometry
 from secrecy_region.regions import RatePair
 
 import _oracles
@@ -125,16 +124,17 @@ def test_criterion_04_parametrization_equivalence(example_channel):
         assert abs(a_corner.r2 - b_corner.r2) <= 1e-9
 
         cfg = SweepConfig(grid_points=129, sagitta_tol=5e-7)
-        hd = geometry.hausdorff_distance(
+        hd = _oracles.sampled_hausdorff(
             capacity_region(example_channel, cfg).frontier(),
             capacity_region_beta(example_channel, cfg).frontier(),
+            2048,
         )
         assert hd <= 1e-6
         worst = hd
         for ch in random_channels(seed=303, count=50):
             ba = capacity_region(ch, cfg)
             bb = capacity_region_beta(ch, cfg)
-            hd = geometry.hausdorff_distance(ba.frontier(), bb.frontier(), samples=512)
+            hd = _oracles.sampled_hausdorff(ba.frontier(), bb.frontier(), 512)
             worst = max(worst, hd)
             assert hd <= 1e-6
         print(f"  worst hull disagreement: {worst:.3e} bits")

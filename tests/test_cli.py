@@ -9,8 +9,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from secrecy_region import cli, sato, sdpc
+from secrecy_region import capacity_region, capacity_region_beta, cli, sato, sdpc
 
+import _oracles
 import golden
 
 
@@ -155,6 +156,28 @@ class TestRegion:
             float(row.split(",")[3]) for row in lines[1 : lines.index("# hull")]
         ]
         assert max(dists) <= 1e-6
+
+    def test_beta_check_outputs_agree(self, capsys, tmp_path, example_channel):
+        # the JSON, the CSV column and its comment carry the same bounds, and
+        # each is at least the oracle's distance for the same frontiers
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "region", *EXAMPLE_FLAGS, "--beta-check",
+            "--out-csv", str(csv_path), "--out-json", str(json_path),
+        )
+        assert code == 0
+        check = json.loads(json_path.read_text())["beta_check"]
+        lines = csv_path.read_text().strip().split("\n")
+        dists = np.array([float(row.split(",")[3]) for row in lines[1 : lines.index("# hull")]])
+        assert dists.max() == check["max_corner_dist_bits"]
+        name, value = lines[-1].split(",")
+        assert name == "# beta_hausdorff" and float(value) == check["hausdorff_bits"]
+        ba, bb = capacity_region(example_channel), capacity_region_beta(example_channel)
+        assert len(dists) == len(ba.points)
+        rounding = 1e-11 * dists + 8 * np.spacing(ba.r1_max)  # 12 digits, and ulps
+        assert np.all(dists >= _oracles.polyline_distance(ba.points, bb.frontier()) - rounding)
+        sampled = _oracles.sampled_hausdorff(ba.frontier(), bb.frontier(), 2048)
+        assert check["hausdorff_bits"] >= sampled
 
     def test_stdout_json_when_no_sink(self, capsys):
         code, out, _ = run(capsys, "region", *EXAMPLE_FLAGS, "--grid", "17")

@@ -1,30 +1,17 @@
-"""Point-to-polyline distances against a brute-force all-segments loop, and
-the Pareto, hull, resampling and interpolation routines against the loops
-they replace."""
+"""The frontier-chain drop bounds against an independent polyline distance,
+and the Pareto, hull, segment-distance and interpolation routines against
+the loops they replace."""
 
 import bisect
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from secrecy_region import geometry
+from secrecy_region import ChannelPair, capacity_region, capacity_region_beta, geometry
 
-
-def brute_min_distances(points, poly):
-    """Minimum over every segment, one segment at a time, with the same
-    per-pair arithmetic as `geometry.min_distances`."""
-    pts = np.asarray([(p[0], p[1]) for p in points], dtype=float).reshape(-1, 2)
-    line = np.asarray([(p[0], p[1]) for p in poly], dtype=float).reshape(-1, 2)
-    px, py = pts[:, 0], pts[:, 1]
-    if line.shape[0] == 0:
-        return np.full(px.shape[0], np.inf)
-    if line.shape[0] == 1:
-        return np.hypot(px - line[0, 0], py - line[0, 1])
-    best = np.full(px.shape[0], np.inf)
-    for i in range(line.shape[0] - 1):
-        best = np.minimum(best, pair_d2(px, py, line[i], line[i + 1]))
-    return np.sqrt(best)
+import _oracles
 
 
 def pair_d2(px, py, a, b):
@@ -56,113 +43,6 @@ def test_segment_distances_match_per_pair(seed):
     want = [math.sqrt(pair_d2(p[0], p[1], s, e)) for p, s, e in zip(points, a, b)]
     scale = np.abs(points).sum(axis=1) + np.abs(a).sum(axis=1) + np.abs(b).sum(axis=1)
     assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
-
-
-def random_points(rng, n):
-    return [(float(x), float(y)) for x, y in rng.random((n, 2))]
-
-
-def concave_case(rng):
-    chain = geometry.concave_chain(geometry.pareto_corners(random_points(rng, 400)))
-    near = np.array(chain) + 1e-9 * rng.standard_normal((len(chain), 2))
-    return list(near) + random_points(rng, 300), chain
-
-
-def staircase_case(rng):
-    corners = geometry.pareto_corners(random_points(rng, 300))
-    stairs = geometry.staircase_polyline(corners)
-    return random_points(rng, 400) + list(stairs), stairs
-
-
-def repeated_vertices_case(rng):
-    xs = np.sort(rng.integers(0, 8, 60)).astype(float)
-    ys = rng.integers(0, 4, 60).astype(float)
-    poly = [(x, y) for x, y in zip(xs, ys)]
-    poly = poly[:10] + [poly[10]] * 3 + poly[10:]
-    pts = rng.integers(-2, 10, (200, 2)).astype(float) + 0.5 * rng.random((200, 2))
-    return list(pts) + poly, poly
-
-
-def far_points_case(rng):
-    chain = geometry.concave_chain(geometry.pareto_corners(random_points(rng, 400)))
-    return list(rng.standard_normal((300, 2)) * 1e3), chain
-
-
-def mixed_width_case(rng):
-    # near points with windows of a few segments, and a few far ones (the
-    # arc's centre among them) whose windows span most of a 2,400-vertex arc
-    th = np.sort(rng.random(2400)) * 0.5 * math.pi
-    chain = np.column_stack([np.cos(th), np.sin(th)])
-    near = chain[::4] + 1e-9 * rng.standard_normal((600, 2))
-    far = list(rng.standard_normal((6, 2)) * 3.0) + [(0.0, 0.0), (-5.0, 0.5)]
-    return list(near) + far, chain
-
-
-def decreasing_x_case(rng):
-    chain = geometry.concave_chain(geometry.pareto_corners(random_points(rng, 400)))
-    return random_points(rng, 300), chain[::-1]
-
-
-def non_monotone_case(rng):
-    return list(rng.standard_normal((300, 2))), list(rng.standard_normal((80, 2)))
-
-
-def scaled_case(scale):
-    def case(rng):
-        chain = geometry.concave_chain(geometry.pareto_corners(random_points(rng, 200)))
-        poly = [(scale * x, scale * y) for x, y in chain]
-        return list(scale * rng.random((200, 2)) * 1.5), poly
-
-    case.__name__ = f"scaled_case_{scale:.0e}"
-    return case
-
-
-def non_finite_points_case(rng):
-    chain = geometry.concave_chain(geometry.pareto_corners(random_points(rng, 100)))
-    return [(np.nan, 0.5), (np.inf, 0.5), (0.5, -np.inf), (0.3, 0.3)], chain
-
-
-def single_vertex_case(rng):
-    return random_points(rng, 50), [(0.5, 0.25)]
-
-
-def empty_polyline_case(rng):
-    return random_points(rng, 5), []
-
-
-def empty_points_case(rng):
-    return [], geometry.concave_chain(geometry.pareto_corners(random_points(rng, 20)))
-
-
-CASES = [
-    concave_case,
-    staircase_case,
-    repeated_vertices_case,
-    far_points_case,
-    mixed_width_case,
-    decreasing_x_case,
-    non_monotone_case,
-    scaled_case(1e-160),
-    scaled_case(1e-100),
-    scaled_case(1e100),
-    scaled_case(1e149),
-    scaled_case(1e200),
-    non_finite_points_case,
-    single_vertex_case,
-    empty_polyline_case,
-    empty_points_case,
-]
-
-
-@pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_min_distances_equal_brute_force(case, seed):
-    points, poly = case(np.random.default_rng(seed))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = geometry.min_distances(points, poly)
-        want = brute_min_distances(points, poly)
-    assert got.shape == (len(points),)
-    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -214,30 +94,6 @@ def loop_concave_chain(points):
                 break
         chain.append(p)
     return chain
-
-
-def loop_resample_polyline(poly, samples):
-    pts = [(float(p[0]), float(p[1])) for p in poly]
-    if len(pts) < 2:
-        return pts
-    seg = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])]
-    total = 0.0
-    acc = [0.0]
-    for s in seg:
-        total += s
-        acc.append(acc[-1] + s)
-    if total == 0.0:
-        return [pts[0]]
-    out = list(pts)
-    for k in range(1, samples):
-        target = total * k / samples
-        i = min(bisect.bisect_right(acc, target) - 1, len(seg) - 1)
-        w = (target - acc[i]) / seg[i] if seg[i] > 0 else 0.0
-        out.append(
-            (pts[i][0] + w * (pts[i + 1][0] - pts[i][0]),
-             pts[i][1] + w * (pts[i + 1][1] - pts[i][1]))
-        )
-    return out
 
 
 def loop_frontier_value(frontier, x):
@@ -301,18 +157,6 @@ def test_concave_chain_matches_loop(seed, noise):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_resample_polyline_matches_loop(seed):
-    rng = np.random.default_rng(seed)
-    chain = geometry.concave_chain(geometry.pareto_corners(rng.random((400, 2))))
-    repeated = np.vstack([chain[:5], chain[4:5], chain[4:]])
-    for poly in (chain, repeated, chain[:2], chain[:1], np.repeat(chain[:1], 3, axis=0)):
-        for samples in (1, 2, 513):
-            want = np.array(loop_resample_polyline(poly.tolist(), samples))
-            got = geometry.resample_polyline(poly, samples)
-            np.testing.assert_array_equal(got, want.reshape(-1, 2))
-
-
-@pytest.mark.parametrize("seed", range(3))
 def test_frontier_value_matches_loop(seed):
     rng = np.random.default_rng(seed)
     chain = geometry.concave_chain(geometry.pareto_corners(rng.random((300, 2))))
@@ -322,3 +166,62 @@ def test_frontier_value_matches_loop(seed):
         for x in xs.tolist():
             want = loop_frontier_value(poly.tolist(), x)
             assert geometry.frontier_value(poly, x) == want
+
+
+# ---------------------------------------------------------------------------
+# frontier-chain drops and gaps against the independent polyline distance
+
+
+@pytest.fixture(scope="module", params=[1e-3, 10.0, 1e10], ids=lambda p: f"P{p:g}")
+def dual_hulls(request, example_channel):
+    """The alpha and beta boundaries of the example and of seeded 2-, 3- and
+    8-antenna complex channels at one power."""
+    power = request.param
+    channels = [dataclasses.replace(example_channel, power=power)]
+    for dim in (2, 3, 8):
+        h, g, p = _oracles.random_channel(np.random.default_rng(70 + dim), dim, power, "complex")
+        channels.append(ChannelPair(h, g, p, "complex"))
+    return [(capacity_region(ch), capacity_region_beta(ch)) for ch in channels]
+
+
+def coordinate_ulp(*chains):
+    return np.spacing(max(float(np.abs(c).max()) for c in chains))
+
+
+def test_chain_gap_bounds_the_sampled_distance(dual_hulls):
+    # each direction is at least the sampled distance, and not far above it
+    for ba, bb in dual_hulls:
+        a, b = ba.frontier(), bb.frontier()
+        ulp = coordinate_ulp(a, b)
+        for (p, q), gap in zip(((a, b), (b, a)), geometry.chain_gap(a, b)):
+            sampled = _oracles.sampled_distance(p, q, 512)
+            assert sampled - 8 * ulp <= gap <= 1.5 * sampled
+
+
+def test_corner_drops_bound_the_distance(dual_hulls):
+    # the lesser |drop| of each swept alpha corner, as `region --beta-check`
+    # reports it, is at least its distance to the beta hull
+    for ba, bb in dual_hulls:
+        v, h = geometry.chain_drops(ba.points, bb.frontier())
+        dist = _oracles.polyline_distance(ba.points, bb.frontier())
+        ulp = coordinate_ulp(ba.points, bb.frontier())
+        assert np.all(np.minimum(np.abs(v), np.abs(h)) >= dist - 8 * ulp)
+
+
+def test_chain_gap_of_a_notch():
+    # the bulge of b sits 0.1 above a both vertically and horizontally; the
+    # distance is 0.1 / sqrt(2), which the bound does not see
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.array([[0.0, 1.0], [0.5, 0.6], [1.0, 0.0]])
+    for gap in geometry.chain_gap(a, b):
+        assert abs(gap - 0.1) <= 2 * np.spacing(0.1)
+    true = _oracles.sampled_hausdorff(a, b, 2)
+    assert abs(true - 0.1 / math.sqrt(2.0)) <= 2 * np.spacing(0.1)
+
+
+def test_chain_gap_of_equal_chains_is_zero(example_channel):
+    hull = capacity_region(example_channel).frontier()
+    assert geometry.chain_gap(hull, hull.copy()) == (0.0, 0.0)
+    point = capacity_region(dataclasses.replace(example_channel, power=0.0)).frontier()
+    assert point.tolist() == [[0.0, 0.0]]
+    assert geometry.chain_gap(point, point) == (0.0, 0.0)

@@ -61,24 +61,6 @@ def pareto_oracle(points):
     return np.array(kept[::-1])
 
 
-def sampled_hull_distance(hull, poly, samples=512):
-    """Largest distance from `samples` points uniform in the arc length of
-    `hull` to the polyline `poly`, each against every segment."""
-    if len(hull) < 2:
-        return 0.0
-    acc = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(hull, axis=0).T))])
-    at = np.linspace(0.0, acc[-1], samples)
-    pts = np.column_stack([np.interp(at, acc, hull[:, 0]), np.interp(at, acc, hull[:, 1])])
-    a, d = poly[:-1], np.diff(poly, axis=0)
-    ll = (d * d).sum(axis=1)
-    worst = 0.0
-    for p in pts:
-        r = p - a
-        t = np.clip((r * d).sum(axis=1) / np.where(ll > 0.0, ll, 1.0), 0.0, 1.0)
-        worst = max(worst, float(np.hypot(*(r - t[:, None] * d).T).min()))
-    return worst
-
-
 class TestGamma1:
     def test_zero_alpha(self, example_channel):
         spec = spectrum(example_channel)
@@ -346,8 +328,9 @@ class TestCapacityRegion:
         b = capacity_region(ch)
         corners = regions._corner_fn(ch, spectrum(ch))
         probes = np.random.default_rng(7).random(4096)
-        dist = geometry.min_distances(np.column_stack(corners(probes)), b.hull)
-        assert dist.max() <= SweepConfig().sagitta_tol
+        # the lesser |drop| under the hull bounds each probe's distance to it
+        v, h = geometry.chain_drops(np.column_stack(corners(probes)), b.hull)
+        assert np.minimum(np.abs(v), np.abs(h)).max() <= SweepConfig().sagitta_tol
 
     def test_no_tolerance_sweeps_the_exact_grid(self, example_channel):
         cfg = SweepConfig(grid_points=17, sagitta_tol=None)
@@ -415,7 +398,7 @@ class TestCapacityRegion:
         ends = [[b.r1_max, 0.0], [0.0, b.r2_max]]
         pareto = pareto_oracle(np.vstack([b.points, ends]))
         ulp = np.spacing(max(b.r1_max, b.r2_max))
-        assert b.hull_union_gap >= sampled_hull_distance(b.hull, pareto) - 8 * ulp
+        assert b.hull_union_gap >= _oracles.sampled_distance(b.hull, pareto, 512) - 8 * ulp
         if len(b.hull) == len(pareto):
             assert b.hull_union_gap == 0.0
 
@@ -426,7 +409,7 @@ class TestCapacityRegion:
         assert b.hull.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert abs(b.hull_union_gap - 0.1) <= 2 * np.spacing(0.1)
         pareto = np.array([[0.0, 1.0], [0.5, 0.4], [1.0, 0.0]])
-        assert b.hull_union_gap >= sampled_hull_distance(b.hull, pareto)
+        assert b.hull_union_gap >= _oracles.sampled_distance(b.hull, pareto, 512)
 
 
 class TestBetaParametrization:
@@ -451,8 +434,7 @@ class TestBetaParametrization:
         cfg = SweepConfig(grid_points=129, sagitta_tol=5e-7)
         ba = capacity_region(example_channel, cfg)
         bb = capacity_region_beta(example_channel, cfg)
-        hd = geometry.hausdorff_distance(ba.frontier(), bb.frontier())
-        assert hd <= 1e-6
+        assert max(geometry.chain_gap(ba.frontier(), bb.frontier())) <= 1e-6
 
 
 def bisect_equal_rate(frontier, steps: int = 200) -> float:
