@@ -249,14 +249,19 @@ def polyline_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return out
 
 
-def sampled_distance(a: np.ndarray, b: np.ndarray, samples: int) -> float:
-    """Largest distance from the (n, 2) polyline a, taken at its vertices and
-    at `samples` points spread evenly over its arc length, to polyline b."""
-    d = np.diff(a, axis=0)
+def resample_polyline(poly: np.ndarray, samples: int) -> np.ndarray:
+    """The (n, 2) polyline's vertices, then `samples` points spread evenly
+    over its arc length, both ends included."""
+    d = np.diff(poly, axis=0)
     acc = np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
     at = np.linspace(0.0, acc[-1], samples)
-    points = np.vstack([a, np.column_stack([np.interp(at, acc, c) for c in a.T])])
-    return float(polyline_distance(points, b).max())
+    return np.vstack([poly, np.column_stack([np.interp(at, acc, c) for c in poly.T])])
+
+
+def sampled_distance(a: np.ndarray, b: np.ndarray, samples: int) -> float:
+    """Largest distance from the (n, 2) polyline a, taken at the points of
+    `resample_polyline(a, samples)`, to polyline b."""
+    return float(polyline_distance(resample_polyline(a, samples), b).max())
 
 
 def sampled_hausdorff(a: np.ndarray, b: np.ndarray, samples: int) -> float:

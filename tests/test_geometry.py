@@ -1,6 +1,6 @@
 """The frontier-chain drop bounds against an independent polyline distance,
-and the Pareto, hull, segment-distance and interpolation routines against
-the loops they replace."""
+the Pareto, hull, segment-distance and interpolation routines against the
+loops they replace, and the oracle's arc-length resampling against a loop."""
 
 import bisect
 import dataclasses
@@ -96,6 +96,24 @@ def loop_concave_chain(points):
     return chain
 
 
+def loop_resample_polyline(poly, samples):
+    """The oracle's resampling one target at a time, each point interpolated
+    on its segment with np.interp's arithmetic."""
+    pts = [(float(p[0]), float(p[1])) for p in poly]
+    acc = [0.0]
+    for a, b in zip(pts, pts[1:]):
+        acc.append(acc[-1] + float(np.hypot(b[0] - a[0], b[1] - a[1])))
+    out = list(pts)
+    for target in np.linspace(0.0, acc[-1], samples).tolist():
+        i = bisect.bisect_right(acc, target) - 1
+        if i == len(acc) - 1 or acc[i] == target:
+            out.append(pts[i])
+            continue
+        run, off = acc[i + 1] - acc[i], target - acc[i]
+        out.append(tuple((b - a) / run * off + a for a, b in zip(pts[i], pts[i + 1])))
+    return out
+
+
 def loop_frontier_value(frontier, x):
     if not frontier or x > frontier[-1][0]:
         return -math.inf
@@ -154,6 +172,19 @@ def test_concave_chain_matches_loop(seed, noise):
     ):
         want = np.array(loop_concave_chain([tuple(p) for p in pts.tolist()]))
         np.testing.assert_array_equal(geometry.concave_chain(pts), want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_resample_polyline_matches_loop(seed):
+    # the arc-length sampling behind the oracle's sampled distances
+    rng = np.random.default_rng(seed)
+    chain = geometry.concave_chain(geometry.pareto_corners(rng.random((400, 2))))
+    repeated = np.vstack([chain[:5], chain[4:5], chain[4:]])
+    for poly in (chain, repeated, chain[:2], chain[:1], np.repeat(chain[:1], 3, axis=0)):
+        for samples in (1, 2, 513):
+            want = np.array(loop_resample_polyline(poly.tolist(), samples))
+            got = _oracles.resample_polyline(poly, samples)
+            np.testing.assert_array_equal(got, want.reshape(-1, 2))
 
 
 @pytest.mark.parametrize("seed", range(3))
